@@ -10,9 +10,7 @@ space) and the constructions module produces ideals achieving it.
 """
 
 from .borel import (BorelSet, StronglyStableIdeal, artinian_lift, borel_leq,
-                    extend_variables, degree_slice, growth_vector,
-                    height_vector, hilbert_function_of, lex_segment_ideal,
-                    lgh, regularity, saturate, truncate_below)
+                    lex_segment_ideal, lgh)
 from .constructions import (VerificationReport, WitnessCertificate,
                             certificate_from_dict, expanded_lifting,
                             ideal_graft, remove_minimal_term, verify_witness,
@@ -65,12 +63,7 @@ __all__ = [
     "artinian_lift",
     "borel_leq",
     "certificate_from_dict",
-    "degree_slice",
     "expanded_lifting",
-    "extend_variables",
-    "growth_vector",
-    "height_vector",
-    "hilbert_function_of",
     "ideal_graft",
     "is_admissible_function",
     "is_scheme_function",
@@ -88,10 +81,7 @@ __all__ = [
     "parse_hilbert_function",
     "parse_polynomial",
     "polynomial_from_coefficients",
-    "regularity",
     "remove_minimal_term",
-    "saturate",
-    "truncate_below",
     "verify_witness",
     "witness_min_reg",
 ]

@@ -194,14 +194,6 @@ class BorelSet:
         return tuple(found)
 
 
-def growth_vector(B: BorelSet):
-    return B.growth_vector()
-
-
-def height_vector(B: BorelSet):
-    return B.height_vector()
-
-
 def lgh(B: BorelSet) -> BorelSet:
     """Rearrange a Borel set into lex segments class by class.
 
@@ -370,33 +362,29 @@ class StronglyStableIdeal:
         return "StronglyStableIdeal(%d, %s)" % (self.nvars, self)
 
 
-def saturate(J: StronglyStableIdeal) -> StronglyStableIdeal:
-    return J.saturation()
+def saturate_slice(B: BorelSet) -> StronglyStableIdeal:
+    """Saturation of the ideal generated by a Borel set of degree s.
 
-
-def regularity(J: StronglyStableIdeal) -> int:
-    return J.regularity
-
-
-def hilbert_function_of(J: StronglyStableIdeal) -> HilbertFunction:
-    return J.hilbert_function()
-
-
-def degree_slice(J: StronglyStableIdeal, t: int) -> BorelSet:
-    return J.degree_slice(t)
-
-
-def truncate_below(J: StronglyStableIdeal, t: int) -> StronglyStableIdeal:
-    return J.truncated(t)
-
-
-def extend_variables(J: StronglyStableIdeal, nvars: int,
-                     add_generators: bool = False) -> StronglyStableIdeal:
-    return J.extended(nvars, add_generators)
-
-
-def ideal_from_slice(B: BorelSet) -> StronglyStableIdeal:
-    return StronglyStableIdeal(B.nvars, B.terms)
+    A term v of degree d <= s lies in the saturation iff v*x0^(s-d) lies
+    in B, so stripping x0 from the members of B lists every x0-free member
+    of degree at most s, and those generate.  By Eliahou-Kervaire such a
+    member u is a minimal generator iff u / x_{min_index(u)} is not in the
+    saturation, that is iff lowering the least non-x0 variable of its term
+    in B to x0 leaves B.
+    """
+    gens = []
+    for term in B.terms:
+        stripped = (0,) + term[1:]
+        i = min_index(stripped)
+        if i is None:
+            # x0^s is in B, so B holds every term and saturates to (1)
+            return StronglyStableIdeal(B.nvars, frozenset({stripped}))
+        lowered = list(term)
+        lowered[0] += 1
+        lowered[i] -= 1
+        if tuple(lowered) not in B.terms:
+            gens.append(stripped)
+    return StronglyStableIdeal(B.nvars, frozenset(gens))
 
 
 def artinian_lift(A: StronglyStableIdeal) -> StronglyStableIdeal:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .borel import (BorelSet, StronglyStableIdeal, artinian_lex_ideal,
-                    artinian_lift, degrevlex_key, divides, ideal_from_slice,
-                    lgh, monomial_basis, term_string)
+                    artinian_lift, degrevlex_key, divides, lgh,
+                    monomial_basis, saturate_slice, term_string)
 from .errors import (InputError, InternalInconsistency, LinearVariety,
                      NoRemovableTerm, NotSchemeHF, PreconditionViolation,
                      VerificationFailure)
@@ -59,7 +59,10 @@ class WitnessCertificate:
 
 def certificate_from_dict(payload) -> WitnessCertificate:
     """Rebuild a certificate from its dictionary form.  The inverse of
-    as_dict; the result still has to be checked with verify_witness."""
+    as_dict; the result still has to be checked with verify_witness.
+
+    The constructor would quietly drop redundant generators, so a listed
+    set that is not the minimal generating set fails here."""
     try:
         block = payload["ideal"]
         nvars = int(block["vars"])
@@ -70,8 +73,13 @@ def certificate_from_dict(payload) -> WitnessCertificate:
         log = tuple(str(line) for line in payload.get("log", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("malformed certificate: %s" % exc) from None
-    return WitnessCertificate(StronglyStableIdeal(nvars, gens), u,
-                              regularity, log)
+    ideal = StronglyStableIdeal(nvars, gens)
+    if ideal.generators != gens:
+        redundant = sorted(gens - ideal.generators, key=degrevlex_key)
+        raise VerificationFailure(
+            "listed generators are not minimal: %s is redundant"
+            % ", ".join(term_string(g) for g in redundant))
+    return WitnessCertificate(ideal, u, regularity, log)
 
 
 @dataclass(frozen=True)
@@ -149,8 +157,17 @@ def _bumped(hf: HilbertFunction, start: int) -> HilbertFunction:
     return HilbertFunction(tuple(prefix), tail)
 
 
-def _removal_candidates(B: BorelSet, x0_exponent: int):
-    return [term for term in B.minimal_terms() if term[0] == x0_exponent]
+def _remove_minimal(B: BorelSet, x0_exponent: int):
+    """Drop the degrevlex-least Borel-minimal term of B with the given
+    x0-exponent; returns the term and the smaller Borel set."""
+    candidates = [term for term in B.minimal_terms()
+                  if term[0] == x0_exponent]
+    if not candidates:
+        raise NoRemovableTerm(
+            "no minimal term with x0-exponent %d in the degree-%d slice"
+            % (x0_exponent, B.degree))
+    term = min(candidates, key=degrevlex_key)
+    return term, BorelSet(B.nvars, B.degree, B.terms - {term})
 
 
 def remove_minimal_term(J: StronglyStableIdeal, s: int,
@@ -170,15 +187,8 @@ def remove_minimal_term(J: StronglyStableIdeal, s: int,
     if not 0 <= t_bar < s:
         raise PreconditionViolation(
             "need 0 <= t_bar < s, got t_bar=%d s=%d" % (t_bar, s))
-    B = J.degree_slice(s)
-    candidates = _removal_candidates(B, s - t_bar)
-    if not candidates:
-        raise NoRemovableTerm(
-            "no minimal term with x0-exponent %d in the degree-%d slice"
-            % (s - t_bar, s))
-    term = min(candidates, key=degrevlex_key)
-    remaining = BorelSet(B.nvars, s, B.terms - {term})
-    result = ideal_from_slice(remaining).saturation()
+    term, remaining = _remove_minimal(J.degree_slice(s), s - t_bar)
+    result = saturate_slice(remaining)
 
     before = J.hilbert_function()
     expected = _bumped(before, t_bar)
@@ -234,10 +244,12 @@ def expanded_lifting(f: HilbertFunction,
     log = ["lifted %d generators into %d variables, working degree %d"
            % (len(Jz.generators), lifted.nvars, m)]
 
-    ideal = lifted
+    # A Borel set of degree m is the degree-m part of its own saturation,
+    # so the slice carries over from one removal to the next.
+    B = lifted.degree_slice(m)
     for _ in range(removals + 1):
-        L = lgh(ideal.degree_slice(m))
-        ideal = ideal_from_slice(L).saturation()
+        B = lgh(B)
+        ideal = saturate_slice(B)
         achieved = ideal.hilbert_function()
         if achieved == f:
             break
@@ -251,16 +263,9 @@ def expanded_lifting(f: HilbertFunction,
         if t_bar >= m:
             raise InternalInconsistency(
                 "gap degree %d reached the working degree %d" % (t_bar, m))
-        candidates = _removal_candidates(L, m - t_bar)
-        if not candidates:
-            raise NoRemovableTerm(
-                "no minimal term with x0-exponent %d at degree %d;"
-                " log: %s" % (m - t_bar, m, " / ".join(log)))
-        term = min(candidates, key=degrevlex_key)
+        term, B = _remove_minimal(B, m - t_bar)
         log.append("removed %s (gap at degree %d)"
                    % (term_string(term), t_bar))
-        ideal = ideal_from_slice(
-            BorelSet(L.nvars, m, L.terms - {term})).saturation()
     else:
         raise InternalInconsistency(
             "lifting did not converge in %d removals" % removals)
@@ -311,8 +316,8 @@ def ideal_graft(Iq: StronglyStableIdeal, Iw: StronglyStableIdeal,
         Iw = Iw.truncated(s)
         log.append("truncated the low side to generator degree %d" % s)
 
-    top = ideal_from_slice(lgh(Iq.degree_slice(s))).saturation()
-    low = ideal_from_slice(lgh(Iw.degree_slice(s))).saturation()
+    top = saturate_slice(lgh(Iq.degree_slice(s)))
+    low = saturate_slice(lgh(Iw.degree_slice(s)))
     if not hypotheses_hold(low.hilbert_function()):
         raise PreconditionViolation(
             "slicing at degree %d broke the graft hypotheses" % s)
@@ -378,9 +383,15 @@ def witness_min_reg(u: HilbertFunction) -> WitnessCertificate:
         du = u.delta()
         cap = max(rho + 1, min_scheme_regularity(dp))
         fit = least_dominated_regularity(dp, du, cap)
-        section = witness_min_reg(minimal_function(dp, fit))
+        if dp.gotzmann_number == 1:
+            # dp is C(z+k, k), the polynomial of a linear space, which is
+            # cut out by the zero ideal in k+1 variables
+            W = StronglyStableIdeal(dp.degree + 1, frozenset())
+            section_log = ("linear section in %d variables" % W.nvars,)
+        else:
+            section = witness_min_reg(minimal_function(dp, fit))
+            W, section_log = section.ideal, section.log
         ambient = u(1) - 1
-        W = section.ideal
         if W.nvars > ambient:
             raise InternalInconsistency(
                 "section witness needs %d variables, only %d available"
@@ -388,7 +399,7 @@ def witness_min_reg(u: HilbertFunction) -> WitnessCertificate:
         if W.nvars < ambient:
             W = W.extended(ambient, add_generators=True)
         lifted = expanded_lifting(u, W)
-        log = section.log + ("section fitted at regularity %d" % fit,) \
+        log = section_log + ("section fitted at regularity %d" % fit,) \
             + lifted.log
         certificate = WitnessCertificate(lifted.ideal, u,
                                          lifted.regularity, log)

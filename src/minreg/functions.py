@@ -284,7 +284,13 @@ def least_dominated_regularity(q: AdmissiblePolynomial, w: HilbertFunction,
 
 def minimal_scheme_function(p: AdmissiblePolynomial, rho: int):
     """Pointwise least Hilbert function of a scheme with polynomial p and
-    regularity exactly rho, or None when no such scheme exists."""
+    regularity exactly rho, or None when no such scheme exists.
+
+    By Gotzmann's regularity theorem a saturated ideal with polynomial p
+    has regularity at most the Gotzmann number r, so its Hilbert function
+    has regularity below r."""
+    if rho >= p.gotzmann_number:
+        return None
     threshold = min_scheme_regularity(p)
     if rho < threshold:
         return None

@@ -279,7 +279,10 @@ def parse_coefficients(text: str):
         if not m or (m.group(2) is None and m.group(3) is None):
             raise ParseError("bad term %r in %r" % (piece, text))
         sign = -1 if m.group(1) == "-" else 1
-        coef = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        try:
+            coef = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        except ZeroDivisionError as exc:
+            raise ParseError("zero denominator in %r" % text) from exc
         exp = 0 if m.group(3) is None else (int(m.group(5)) if m.group(5) else 1)
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
     top = max(coeffs)

@@ -11,8 +11,8 @@ import pytest
 
 from minreg.binomials import macaulay_expand, minus_minus, plus_plus
 from minreg.borel import (BorelSet, StronglyStableIdeal, borel_leq,
-                          ideal_from_slice, lex_segment_ideal, lgh,
-                          monomial_basis)
+                          lex_segment_ideal, lgh, monomial_basis,
+                          saturate_slice)
 from minreg.constructions import (expanded_lifting, verify_witness,
                                   witness_min_reg)
 from minreg.errors import EmptyClass
@@ -65,6 +65,15 @@ def test_criterion_2_large_cubic_chain(record_property):
     assert monotonic() - start < 5.0
 
 
+def test_large_cubic_witness():
+    start = monotonic()
+    p = poly("2z^3-6z^2+29z-20")
+    cert = witness_min_reg(minimal_scheme_function(p, 2))
+    assert cert.regularity == 7
+    assert verify_witness(cert).ok
+    assert monotonic() - start < 60.0
+
+
 def test_criterion_3_empty_class(record_property):
     record_property("criterion", "3 (empty regularity class)")
     p = poly("5z-3")
@@ -107,7 +116,8 @@ def test_criterion_5_growth_height_normalization(record_property):
     normalized = lgh(CROOKED.degree_slice(5))
     assert normalized.growth_vector() == (42, 26, 15, 5, 1)
     assert normalized.height_vector() == (47, 26, 12, 4, 0, 0)
-    assert ideal_from_slice(normalized).saturation() == STRAIGHTENED
+    assert StronglyStableIdeal(normalized.nvars, normalized.terms) \
+        .saturation() == STRAIGHTENED
 
 
 def test_criterion_6_lifting_example(record_property):
@@ -241,9 +251,11 @@ def test_criterion_8_oracle_suites(record_property):
         L = lgh(B)
         assert L.growth_vector() == B.growth_vector()
         assert L.height_vector() == B.height_vector()
-        before = ideal_from_slice(B).saturation()
-        after = ideal_from_slice(L).saturation()
+        before = StronglyStableIdeal(B.nvars, B.terms).saturation()
+        after = StronglyStableIdeal(L.nvars, L.terms).saturation()
         assert before.hilbert_function() == after.hilbert_function()
+        assert saturate_slice(B) == before
+        assert saturate_slice(L) == after
         done += 1
 
     assert monotonic() - start < 120.0

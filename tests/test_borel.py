@@ -7,8 +7,8 @@ import pytest
 from minreg.binomials import binom
 from minreg.borel import (BorelSet, StronglyStableIdeal, artinian_lex_ideal,
                           artinian_lift, borel_leq, degrevlex_key, deglex_key,
-                          divides, ideal_from_slice, lex_key, lex_segment_ideal,
-                          lgh, min_index, monomial_basis, term_string)
+                          divides, lex_key, lex_segment_ideal, lgh, min_index,
+                          monomial_basis, saturate_slice, term_string)
 from minreg.errors import (DegreeMismatch, InternalInconsistency, NotBorel,
                            NotSaturated, NotStronglyStable)
 from minreg.functions import HilbertFunction, minimal_function
@@ -175,8 +175,9 @@ def test_lgh_straightens_the_crooked_slice():
     L = lgh(B)
     assert L.growth_vector() == B.growth_vector()
     assert L.height_vector() == B.height_vector()
-    I = ideal_from_slice(L).saturation()
+    I = StronglyStableIdeal(L.nvars, L.terms).saturation()
     assert I == STRAIGHTENED
+    assert saturate_slice(L) == STRAIGHTENED
     assert I.regularity == 5
     assert I.hilbert_function() == CROOKED.hilbert_function()
     # The rearrangement exposes generators of degree 3 that the original
@@ -221,8 +222,8 @@ def test_lgh_invariants_on_random_sets():
         L = lgh(B)
         assert L.growth_vector() == B.growth_vector()
         assert L.height_vector() == B.height_vector()
-        before = ideal_from_slice(B).saturation()
-        after = ideal_from_slice(L).saturation()
+        before = StronglyStableIdeal(B.nvars, B.terms).saturation()
+        after = StronglyStableIdeal(L.nvars, L.terms).saturation()
         assert before.hilbert_function() == after.hilbert_function()
         assert before.regularity <= after.regularity <= degree
 

@@ -43,6 +43,9 @@ def test_exists(capsys):
     assert (code, out) == (1, "empty\n")
     code, out, _ = run(capsys, "exists", "5z-3", "--rho", "3")
     assert (code, out) == (0, "1,4,8 ; 5z-3\n")
+    # rho at or past the Gotzmann number: empty without walking rho steps
+    code, out, _ = run(capsys, "exists", "5z-3", "--rho", "10000000")
+    assert (code, out) == (1, "empty\n")
 
 
 def test_minreg_global(capsys):
@@ -71,6 +74,9 @@ def test_minreg_domain_errors(capsys):
     code, _, err = run(capsys, "minreg", "5z-3", "--rho", "4")
     assert code == 1
     assert "error" in err
+    code, _, err = run(capsys, "minreg", "12z-25", "--rho", "3000")
+    assert code == 1
+    assert "regularity 3000" in err
     code, _, err = run(capsys, "minreg", "z+1")
     assert code == 1
     assert "linear variety" in err
@@ -80,6 +86,10 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "minreg", "zz+1")
     assert code == 2
     assert "error" in err
+    for argv in (["gotzmann", "1/0z"], ["minreg", "--hf", "1,2 ; 1/0z"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "zero denominator" in err
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -194,6 +204,18 @@ def test_verify_flags_a_tampered_certificate(tmp_path, capsys):
     assert code == 1
     assert "FAILED" in out
     assert "verification failed" in out
+
+
+def test_verify_refuses_redundant_listed_generators(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    run(capsys, "witness", "5z-3", "-o", str(path))
+    payload = json.loads(path.read_text())
+    assert payload["regularity"] == 5
+    payload["ideal"]["generators"].append([0, 0, 1, 6])
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "not minimal: x2*x3^6" in err
 
 
 def test_verify_rejects_malformed_documents(tmp_path, capsys):

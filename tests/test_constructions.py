@@ -197,6 +197,19 @@ def test_witness_rejects_bad_functions():
         witness_min_reg(hf("1 ; z+1"))
 
 
+def test_witness_builds_linear_sections():
+    # The derivative tower of these ends in a linear space C(z+k, k).
+    for text in ("z+2", "z+5", "1/2z^2+5/2z+2", "1/2z^2+3/2z+4",
+                 "1/6z^3+z^2+11/6z+3"):
+        p = poly(text)
+        u = minimal_scheme_function(p, min_scheme_regularity(p))
+        cert = witness_min_reg(u)
+        assert verify_witness(cert).ok, text
+        assert cert.regularity == min_regularity_at(
+            p, min_scheme_regularity(p)).regularity, text
+        assert cert.log[0].startswith("linear section"), text
+
+
 def test_witness_monotone_in_rho():
     for text in ("2z+2", "15z-24", "6"):
         p = poly(text)

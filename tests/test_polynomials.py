@@ -51,6 +51,7 @@ def test_parse_coefficients(text, expected):
     "z^",
     "2*z",
     "1/",
+    "1/0z",
 ])
 def test_parse_rejects_bad_syntax(text):
     with pytest.raises(ParseError):
