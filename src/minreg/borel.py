@@ -15,11 +15,12 @@ partitions of the slice: the height classes (by x0-exponent) give the
 values below the slice degree, the growth classes (by least variable
 present) give the polynomial tail.
 
-The normal form lgh() rearranges a Borel set, class by class, into lex
-segments without changing either partition's sizes.  Saturations of the
-rearranged set are the pivot of the witness constructions: they keep the
-Hilbert function but expose minimal generators in the degrees where terms
-have to be removed.
+A growth-height-lexicographic (ghl) set takes the lex-first terms of
+every class, so ghl_set() builds it from the class sizes alone, and the
+normal form lgh() rearranges a Borel set into it without changing either
+partition's sizes.  slice_heights() reads the height classes back from a
+Hilbert function, so the witness constructions build their slice from
+the function they want and saturate it once.
 """
 
 from __future__ import annotations
@@ -194,6 +195,33 @@ class BorelSet:
         return tuple(found)
 
 
+def ghl_set(nvars: int, degree: int, growth, heights) -> BorelSet:
+    """The growth-height-lexicographic set with the given class sizes.
+
+    Takes the lex-first growth[i] x0-free terms with least variable x_i
+    for i >= 1 and the lex-first heights[j] terms with x0-exponent j for
+    j >= 1; growth[0] and heights[0] follow from the others.
+    """
+    free = [t for t in monomial_basis(nvars, degree) if t[0] == 0]
+    classes = [("growth", i, growth[i], [t for t in free if min_index(t) == i])
+               for i in range(1, nvars)]
+    classes += [("height", j, heights[j],
+                 [(j,) + t[1:] for t in monomial_basis(nvars, degree - j)
+                  if t[0] == 0])
+                for j in range(1, degree + 1)]
+    picked = []
+    for name, index, size, cls in classes:
+        if not 0 <= size <= len(cls):
+            raise InternalInconsistency("%s class %d wants %d of %d terms"
+                                        % (name, index, size, len(cls)))
+        picked.extend(cls[:size])
+    try:
+        return BorelSet(nvars, degree, frozenset(picked))
+    except NotBorel as exc:
+        raise InternalInconsistency(
+            "growth-height-lex set is not Borel: %s" % exc) from exc
+
+
 def lgh(B: BorelSet) -> BorelSet:
     """Rearrange a Borel set into lex segments class by class.
 
@@ -206,26 +234,7 @@ def lgh(B: BorelSet) -> BorelSet:
         return B
     gv = B.growth_vector()
     hv = B.height_vector()
-    picked = []
-    free = [t for t in monomial_basis(B.nvars, B.degree) if t[0] == 0]
-    for i in range(1, B.nvars):
-        cls = [t for t in free if min_index(t) == i]
-        if gv[i] > len(cls):
-            raise InternalInconsistency(
-                "growth class %d wants %d of %d terms" % (i, gv[i], len(cls)))
-        picked.extend(cls[:gv[i]])
-    for j in range(1, B.degree + 1):
-        cls = [(j,) + t[1:]
-               for t in monomial_basis(B.nvars, B.degree - j) if t[0] == 0]
-        if hv[j] > len(cls):
-            raise InternalInconsistency(
-                "height class %d wants %d of %d terms" % (j, hv[j], len(cls)))
-        picked.extend(cls[:hv[j]])
-    try:
-        result = BorelSet(B.nvars, B.degree, frozenset(picked))
-    except NotBorel as exc:
-        raise InternalInconsistency(
-            "lex rearrangement lost Borel closure: %s" % exc) from exc
+    result = ghl_set(B.nvars, B.degree, gv, hv)
     if result.growth_vector() != gv or result.height_vector() != hv:
         raise InternalInconsistency("lex rearrangement changed a partition")
     return result
@@ -362,6 +371,19 @@ class StronglyStableIdeal:
         return "StronglyStableIdeal(%d, %s)" % (self.nvars, self)
 
 
+def slice_heights(f: HilbertFunction, degree: int, nvars: int):
+    """Height vector of the degree-s slice of any saturated strongly stable
+    ideal in n+1 = nvars variables, generated in degree <= s, with quotient
+    function f: x0^(s-d)*v is in it iff v is, so the slice has
+    C(d+n-1, n-1) - Df(d) terms of x0-exponent s-d, Df the difference of f.
+    """
+    df = f.delta()
+    n = nvars - 1
+    # C(d+n, n) - C(d+n-1, n) is C(d+n-1, n-1), and also right for n = 0
+    return tuple(binom(d + n, n) - binom(d + n - 1, n) - df(d)
+                 for d in range(degree, -1, -1))
+
+
 def saturate_slice(B: BorelSet) -> StronglyStableIdeal:
     """Saturation of the ideal generated by a Borel set of degree s.
 
@@ -396,53 +418,20 @@ def artinian_lift(A: StronglyStableIdeal) -> StronglyStableIdeal:
     return StronglyStableIdeal(A.nvars + 1, frozenset(gens))
 
 
-def _lex_ideal(nvars: int, slice_sizes) -> StronglyStableIdeal:
-    """Ideal whose degree-t piece is the lex-first slice_sizes[t] terms.
-
-    slice_sizes is indexed from degree 1; consistency of consecutive
-    slices is asserted because every caller passes sizes coming from an
-    admissible function.
-    """
-    gens = []
-    previous = set()
-    for offset, size in enumerate(slice_sizes):
-        t = offset + 1
-        basis = monomial_basis(nvars, t)
-        if not 0 <= size <= len(basis):
-            raise InternalInconsistency(
-                "lex slice of size %d out of range at degree %d" % (size, t))
-        current = set(basis[:size])
-        grown = set()
-        for term in previous:
-            for k in range(nvars):
-                bumped = list(term)
-                bumped[k] += 1
-                grown.add(tuple(bumped))
-        if not grown <= current:
-            raise InternalInconsistency(
-                "lex slices stopped nesting at degree %d" % t)
-        gens.extend(current - grown)
-        previous = current
-    return StronglyStableIdeal(nvars, frozenset(gens))
-
-
 def lex_segment_ideal(p: AdmissiblePolynomial) -> StronglyStableIdeal:
     """The saturated lex-segment ideal with Hilbert polynomial p.
 
     Its quotient Hilbert function is the least one with polynomial p and
-    its regularity is the Gotzmann number.
+    its regularity is the Gotzmann number r, so it is the saturation of
+    its degree-r slice: the lex-first C(r+n, n) - p(r) terms.
     """
     r = p.gotzmann_number
     if r < 2:
         raise LinearVariety("lex-segment construction needs r > 1")
-    f = minimal_function(p, r - 1)
-    nvars = f(1)
-    sizes = [binom(t + nvars - 1, nvars - 1) - f(t) for t in range(1, r + 1)]
-    ideal = _lex_ideal(nvars, sizes)
-    if not ideal.is_saturated:
-        raise InternalInconsistency("lex-segment ideal of %s came out"
-                                    " unsaturated" % p)
-    return ideal
+    nvars = minimal_function(p, r - 1)(1)
+    size = binom(r + nvars - 1, nvars - 1) - p(r)
+    return saturate_slice(
+        BorelSet(nvars, r, frozenset(monomial_basis(nvars, r)[:size])))
 
 
 def artinian_lex_ideal(h: HilbertFunction) -> StronglyStableIdeal:
@@ -459,7 +448,24 @@ def artinian_lex_ideal(h: HilbertFunction) -> StronglyStableIdeal:
     nvars = h(1)
     if nvars < 1:
         raise InternalInconsistency("no variables left for %s" % h)
-    top = h.regularity
-    sizes = [binom(t + nvars - 1, nvars - 1) - h(t)
-             for t in range(1, top + 1)]
-    return _lex_ideal(nvars, sizes)
+    gens = []
+    previous = set()
+    for t in range(1, h.regularity + 1):
+        basis = monomial_basis(nvars, t)
+        size = binom(t + nvars - 1, nvars - 1) - h(t)
+        if not 0 <= size <= len(basis):
+            raise InternalInconsistency(
+                "lex slice of size %d out of range at degree %d" % (size, t))
+        current = set(basis[:size])
+        grown = set()
+        for term in previous:
+            for k in range(nvars):
+                bumped = list(term)
+                bumped[k] += 1
+                grown.add(tuple(bumped))
+        if not grown <= current:
+            raise InternalInconsistency(
+                "lex slices stopped nesting at degree %d" % t)
+        gens.extend(current - grown)
+        previous = current
+    return StronglyStableIdeal(nvars, frozenset(gens))

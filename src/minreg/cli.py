@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .constructions import (certificate_from_dict, verify_witness,
                             witness_min_reg)
@@ -201,6 +202,7 @@ def cmd_table(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minreg",
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rho", type=int, default=None,
                    help="target regularity (default: the least scheme one)")
     s.add_argument("--g", action="store_true",
-                   help="force regularity exactly rho by bumping at rho-1")
+                   help="least function with regularity exactly rho")
     s.set_defaults(handler=cmd_minfn)
 
     s = sub.add_parser("exists", parents=[common],
@@ -285,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except MinregError as exc:

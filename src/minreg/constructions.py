@@ -5,11 +5,15 @@ claimed Hilbert function and regularity, packaged as certificates:
 
 * remove_minimal_term drops one Borel-minimal term from a high-degree
   slice, which bumps the Hilbert function by one from a chosen degree on;
-* expanded_lifting adds a new least variable to a given ideal and then
-  removes terms until the quotient matches a prescribed function, landing
-  exactly on regularity max(reg of the input, rho + 1);
+* expanded_lifting adds a new least variable to a given ideal and keeps,
+  of its ghl slice at the working degree, the terms a prescribed function
+  asks for, landing exactly on regularity max(reg of the input, rho + 1);
 * ideal_graft splices the low degrees of one quotient onto the high
-  degrees of another.
+  degrees of another, by building the ghl slice of the spliced function.
+
+Both slice builders take the growth classes from an ideal and the height
+classes from the target function (borel.ghl_set, borel.slice_heights),
+and saturate the slice once.
 
 witness_min_reg chains expanded liftings along the derivative tower of
 the target function and realizes the minimal regularity in its class.
@@ -24,8 +28,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .borel import (BorelSet, StronglyStableIdeal, artinian_lex_ideal,
-                    artinian_lift, degrevlex_key, divides, lgh,
-                    monomial_basis, saturate_slice, term_string)
+                    artinian_lift, degrevlex_key, divides, ghl_set, lex_key,
+                    lgh, monomial_basis, saturate_slice, slice_heights,
+                    term_string)
 from .errors import (InputError, InternalInconsistency, LinearVariety,
                      NoRemovableTerm, NotSchemeHF, PreconditionViolation,
                      VerificationFailure)
@@ -157,19 +162,6 @@ def _bumped(hf: HilbertFunction, start: int) -> HilbertFunction:
     return HilbertFunction(tuple(prefix), tail)
 
 
-def _remove_minimal(B: BorelSet, x0_exponent: int):
-    """Drop the degrevlex-least Borel-minimal term of B with the given
-    x0-exponent; returns the term and the smaller Borel set."""
-    candidates = [term for term in B.minimal_terms()
-                  if term[0] == x0_exponent]
-    if not candidates:
-        raise NoRemovableTerm(
-            "no minimal term with x0-exponent %d in the degree-%d slice"
-            % (x0_exponent, B.degree))
-    term = min(candidates, key=degrevlex_key)
-    return term, BorelSet(B.nvars, B.degree, B.terms - {term})
-
-
 def remove_minimal_term(J: StronglyStableIdeal, s: int,
                         t_bar: int) -> WitnessCertificate:
     """Drop one Borel-minimal term with x0-free part of degree t_bar from
@@ -187,8 +179,15 @@ def remove_minimal_term(J: StronglyStableIdeal, s: int,
     if not 0 <= t_bar < s:
         raise PreconditionViolation(
             "need 0 <= t_bar < s, got t_bar=%d s=%d" % (t_bar, s))
-    term, remaining = _remove_minimal(J.degree_slice(s), s - t_bar)
-    result = saturate_slice(remaining)
+    B = J.degree_slice(s)
+    candidates = [term for term in B.minimal_terms()
+                  if term[0] == s - t_bar]
+    if not candidates:
+        raise NoRemovableTerm(
+            "no minimal term with x0-exponent %d in the degree-%d slice"
+            % (s - t_bar, s))
+    term = min(candidates, key=degrevlex_key)
+    result = saturate_slice(BorelSet(B.nvars, s, B.terms - {term}))
 
     before = J.hilbert_function()
     expected = _bumped(before, t_bar)
@@ -235,41 +234,29 @@ def expanded_lifting(f: HilbertFunction,
 
     lifted = artinian_lift(Jz)
     m = max(Jz.regularity, rho + 1)
-    current = lifted.hilbert_function()
-    horizon = max(f.regularity, current.regularity)
-    removals = f(horizon) - current(horizon)
-    if removals < 0:
-        raise PreconditionViolation(
-            "the lift already overshoots the target function")
     log = ["lifted %d generators into %d variables, working degree %d"
            % (len(Jz.generators), lifted.nvars, m)]
 
-    # A Borel set of degree m is the degree-m part of its own saturation,
-    # so the slice carries over from one removal to the next.
-    B = lifted.degree_slice(m)
-    for _ in range(removals + 1):
-        B = lgh(B)
-        ideal = saturate_slice(B)
-        achieved = ideal.hilbert_function()
-        if achieved == f:
-            break
-        if not achieved.dominated_by(f):
-            raise InternalInconsistency(
-                "intermediate function %s escaped above the target %s"
-                % (achieved, f))
-        t_bar = 0
-        while achieved(t_bar) == f(t_bar):
-            t_bar += 1
-        if t_bar >= m:
-            raise InternalInconsistency(
-                "gap degree %d reached the working degree %d" % (t_bar, m))
-        term, B = _remove_minimal(B, m - t_bar)
-        log.append("removed %s (gap at degree %d)"
-                   % (term_string(term), t_bar))
-    else:
+    # The lifted slice in ghl form keeps its growth classes, which fix the
+    # polynomial; f fixes the height classes.  The terms in between go.
+    start = lgh(lifted.degree_slice(m))
+    heights = slice_heights(f, m, lifted.nvars)
+    if min(heights) < 0:
+        raise NoRemovableTerm("%s needs more than the %d variables of the"
+                              " lift" % (f, lifted.nvars))
+    B = ghl_set(lifted.nvars, m, start.growth_vector(), heights)
+    if not B.terms <= start.terms:
         raise InternalInconsistency(
-            "lifting did not converge in %d removals" % removals)
-
+            "the slice for %s is not inside the lifted slice" % f)
+    for term in sorted(start.terms - B.terms,
+                       key=lambda t: (-t[0], lex_key(t))):
+        log.append("removed %s (gap at degree %d)"
+                   % (term_string(term), m - term[0]))
+    ideal = saturate_slice(B)
+    achieved = ideal.hilbert_function()
+    if achieved != f:
+        raise InternalInconsistency(
+            "lifting realized %s instead of %s" % (achieved, f))
     if ideal.regularity != m:
         raise InternalInconsistency(
             "lifting landed on regularity %d instead of %d"
@@ -297,42 +284,17 @@ def ideal_graft(Iq: StronglyStableIdeal, Iw: StronglyStableIdeal,
     nvars = max(Iq.nvars, Iw.nvars)
     if Iq.nvars < nvars:
         Iq = Iq.extended(nvars, add_generators=True)
-    if Iw.nvars < nvars:
-        Iw = Iw.extended(nvars, add_generators=True)
     q = Iq.hilbert_function()
     w = Iw.hilbert_function()
-
-    def hypotheses_hold(w_now):
-        return w_now(m - 1) == q(m - 1) and w_now(m - 2) <= q(m - 2)
-
-    if not hypotheses_hold(w):
+    if not (w(m - 1) == q(m - 1) and w(m - 2) <= q(m - 2)):
         raise PreconditionViolation(
             "graft needs w(m-1) = q(m-1) and w(m-2) <= q(m-2);"
             " got w=%s q=%s m=%d" % (w, q, m))
     target = _spliced(w, q, m)
     s = max(m, Iq.regularity)
-    log = ["graft at degree %d, slice degree %d" % (m, s)]
-    if Iw.regularity > s:
-        Iw = Iw.truncated(s)
-        log.append("truncated the low side to generator degree %d" % s)
-
-    top = saturate_slice(lgh(Iq.degree_slice(s)))
-    low = saturate_slice(lgh(Iw.degree_slice(s)))
-    if not hypotheses_hold(low.hilbert_function()):
-        raise PreconditionViolation(
-            "slicing at degree %d broke the graft hypotheses" % s)
-
-    gens = set()
-    for t in range(1, m):
-        gens.update(term for term in low.degree_slice(t) if term[0] == 0)
-    for t in range(m, s + 1):
-        gens.update(term for term in top.degree_slice(t) if term[0] == 0)
-    try:
-        grafted = StronglyStableIdeal(nvars, frozenset(gens))
-    except Exception as exc:
-        raise VerificationFailure(
-            "graft assembled an invalid ideal: %s" % exc) from exc
-
+    grafted = saturate_slice(ghl_set(nvars, s,
+                                     Iq.degree_slice(s).growth_vector(),
+                                     slice_heights(target, s, nvars)))
     achieved = grafted.hilbert_function()
     if achieved != target:
         raise VerificationFailure(
@@ -341,8 +303,9 @@ def ideal_graft(Iq: StronglyStableIdeal, Iw: StronglyStableIdeal,
         raise VerificationFailure(
             "graft regularity %d exceeds the bound %d"
             % (grafted.regularity, s))
+    log = ("graft at degree %d, slice degree %d" % (m, s),)
     certificate = WitnessCertificate(grafted, achieved, grafted.regularity,
-                                     tuple(log))
+                                     log)
     report = verify_witness(certificate)
     if not report:
         raise VerificationFailure("graft certificate failed: %s" % report)

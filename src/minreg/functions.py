@@ -211,22 +211,25 @@ def minimal_function(p: AdmissiblePolynomial, rho: int) -> HilbertFunction:
 
 def minimal_function_exact(p: AdmissiblePolynomial, rho: int) -> HilbertFunction:
     """Pointwise least admissible function with tail p and regularity
-    exactly rho: one more than p at rho - 1, minimal decrease below."""
+    exactly rho: minimal_function(p, rho) when its regularity is rho,
+    otherwise one more than p at rho - 1 with minimal decrease below.
+    NotAdmissible when no such function exists (rho = 1, p(0) = 1)."""
     least = max(min_function_regularity(p), 1)
     if rho < least:
         raise RhoTooSmall("no function with tail %s has regularity exactly %d"
                           % (p, rho))
+    f = minimal_function(p, rho)
+    if f.regularity == rho:
+        return f
     value = p(rho - 1) + 1
-    if value < 1:
-        raise NotAdmissible("tail %s is negative at %d" % (p, rho - 1))
     chain = [value]
     for t in range(rho - 1, 0, -1):
         value = minus_minus(value, t)
         chain.append(value)
-    out = HilbertFunction(tuple(reversed(chain)), p)
-    if out.regularity != rho:
-        raise InternalInconsistency("bumped function lost its regularity")
-    return out
+    if value != 1:
+        raise NotAdmissible("no function with tail %s has regularity"
+                            " exactly %d" % (p, rho))
+    return HilbertFunction(tuple(reversed(chain)), p)
 
 
 @lru_cache(maxsize=None)
@@ -300,6 +303,8 @@ def minimal_scheme_function(p: AdmissiblePolynomial, rho: int):
             raise InternalInconsistency(
                 "minimal function at the scheme threshold misbehaved")
         return f
-    f = minimal_function(p, rho)
-    candidate = f if f.regularity == rho else minimal_function_exact(p, rho)
+    try:
+        candidate = minimal_function_exact(p, rho)
+    except NotAdmissible:
+        return None
     return candidate if is_scheme_function(candidate) else None

@@ -11,8 +11,8 @@ import pytest
 
 from minreg.binomials import macaulay_expand, minus_minus, plus_plus
 from minreg.borel import (BorelSet, StronglyStableIdeal, borel_leq,
-                          lex_segment_ideal, lgh, monomial_basis,
-                          saturate_slice)
+                          ghl_set, lex_segment_ideal, lgh, monomial_basis,
+                          saturate_slice, slice_heights)
 from minreg.constructions import (expanded_lifting, verify_witness,
                                   witness_min_reg)
 from minreg.errors import EmptyClass
@@ -256,6 +256,11 @@ def test_criterion_8_oracle_suites(record_property):
         assert before.hilbert_function() == after.hilbert_function()
         assert saturate_slice(B) == before
         assert saturate_slice(L) == after
+        # the function of the saturation gives back the height classes,
+        # and those with the growth classes fix the ghl form
+        heights = slice_heights(before.hilbert_function(), B.degree, B.nvars)
+        assert heights == B.height_vector()
+        assert ghl_set(B.nvars, B.degree, B.growth_vector(), heights) == L
         done += 1
 
     assert monotonic() - start < 120.0

@@ -33,6 +33,13 @@ def test_minfn(capsys):
     assert (code, out) == (0, "1,5,11 ; 15z-24\n")
     code, out, _ = run(capsys, "minfn", "12z-25", "--rho", "7", "--g")
     assert (code, out) == (0, "1,4,9,16,25,36,48 ; 12z-25\n")
+    # --g keeps the minimal function when its regularity is already rho
+    code, out, _ = run(capsys, "minfn", "14", "--rho", "1", "--g")
+    assert (code, out) == (0, "1 ; 14\n")
+    code, out, _ = run(capsys, "minfn", "3/2z^2+15/2z-18", "--rho", "4", "--g")
+    assert (code, out) == (0, "1,5,11,21 ; 3/2z^2+15/2z-18\n")
+    # a bump at 0 would leave the value 2 there
+    assert run(capsys, "minfn", "2z+1", "--rho", "1", "--g")[0] == 1
     # the default rho is the least scheme regularity
     code, out, _ = run(capsys, "minfn", "5z-3")
     assert (code, out) == (0, "1,4,8 ; 5z-3\n")
@@ -135,6 +142,8 @@ def test_json_flag_before_the_subcommand(capsys):
     code, out, _ = run(capsys, "--json", "gotzmann", "5z-3")
     assert code == 0
     assert json.loads(out)["gotzmann_number"] == 7
+    # the parser is built once per process; --json must not stick
+    assert run(capsys, "gotzmann", "5z-3")[:2] == (0, "7\n")
 
 
 def test_json_error_document(capsys):

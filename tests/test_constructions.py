@@ -2,7 +2,9 @@
 
 import pytest
 
-from minreg.borel import StronglyStableIdeal, artinian_lift
+from minreg import constructions
+from minreg.borel import (BorelSet, StronglyStableIdeal, artinian_lift,
+                          degrevlex_key, lgh, saturate_slice)
 from minreg.constructions import (WitnessCertificate, expanded_lifting,
                                   ideal_graft, remove_minimal_term,
                                   verify_witness, witness_min_reg)
@@ -49,6 +51,49 @@ def test_expanded_lifting_reference_run():
     assert verify_witness(cert).ok
 
 
+def stepwise_lifting(f, Jz):
+    """Reference lifting: from the lifted slice, drop one Borel-minimal term
+    at a time, the degrevlex-least one at the first gap to f, and bring
+    the slice back to ghl form after every removal."""
+    m = max(Jz.regularity, f.regularity + 1)
+    B = artinian_lift(Jz).degree_slice(m)
+    while True:
+        B = lgh(B)
+        ideal = saturate_slice(B)
+        achieved = ideal.hilbert_function()
+        if achieved == f:
+            return ideal
+        assert achieved.dominated_by(f)
+        t_bar = next(t for t in range(m) if achieved(t) != f(t))
+        candidates = [term for term in B.minimal_terms()
+                      if term[0] == m - t_bar]
+        if not candidates:
+            raise NoRemovableTerm("no candidate at degree %d" % t_bar)
+        term = min(candidates, key=degrevlex_key)
+        B = BorelSet(B.nvars, m, B.terms - {term})
+
+
+def test_expanded_lifting_matches_the_stepwise_removals(monkeypatch):
+    f = hf("1,5,11 ; 15z-24")
+    assert expanded_lifting(f, SECTION15).ideal \
+        == stepwise_lifting(f, SECTION15) == CURVE15
+    calls = []
+
+    def recorded(f, Jz):
+        cert = expanded_lifting(f, Jz)
+        calls.append((f, Jz, cert.ideal))
+        return cert
+
+    monkeypatch.setattr(constructions, "expanded_lifting", recorded)
+    witness_min_reg.cache_clear()
+    for text, rho, _ in WITNESS_TABLE:
+        witness_min_reg(minimal_scheme_function(poly(text), rho))
+    witness_min_reg.cache_clear()
+    assert len(calls) >= len(WITNESS_TABLE)
+    for f, Jz, lifted in calls:
+        assert lifted == stepwise_lifting(f, Jz), f
+
+
 def test_expanded_lifting_without_removals():
     f = artinian_lift(SECTION15).hilbert_function()
     cert = expanded_lifting(f, SECTION15)
@@ -70,6 +115,11 @@ def test_expanded_lifting_preconditions():
     fat = minimal_function(poly("15z-24"), 8)
     with pytest.raises(PreconditionViolation):
         expanded_lifting(fat, SECTION15)
+    # (x1,x2)^5 in three variables fits under the difference, but f needs
+    # one variable more than its lift has
+    square5 = ideal(3, *[(0, 5 - k, k) for k in range(6)])
+    with pytest.raises(NoRemovableTerm):
+        expanded_lifting(f, square5)
 
 
 def test_removal_reference_run():

@@ -255,14 +255,21 @@ def test_minimal_function_exact():
     g4 = minimal_function_exact(p, 4)
     assert g4.prefix == (1, 4, 8, 13)
     assert g4.regularity == 4
+    # the minimal function at 5 already has regularity 5 and lies below
+    # the bump at 4, (1, 4, 8, 13, 18)
     g5 = minimal_function_exact(p, 5)
-    assert g5.prefix == (1, 4, 8, 13, 18)
+    assert g5 == minimal_function(p, 5)
+    assert g5.prefix == (1, 4, 7, 11, 16)
     with pytest.raises(RhoTooSmall):
         minimal_function_exact(p, 2)
+    # regularity exactly 1 would need the value 2 at 0
+    with pytest.raises(NotAdmissible):
+        minimal_function_exact(poly("2z+1"), 1)
 
 
 def test_minimal_function_exact_is_minimal_with_its_regularity():
-    for text, rho in (("5z-3", 4), ("5z-3", 5), ("12z-25", 7), ("12", 8)):
+    for text, rho in (("5z-3", 4), ("5z-3", 5), ("12z-25", 7), ("12", 8),
+                      ("14", 1), ("3/2z^2+15/2z-18", 4)):
         p = poly(text)
         g = minimal_function_exact(p, rho)
         assert g.regularity == rho
