@@ -18,9 +18,8 @@ from .constructions import (VerificationReport, WitnessCertificate,
 from .errors import (AmbientTooSmall, DegreeMismatch, DomainError, EmptyClass,
                      InputError, InternalInconsistency, LinearVariety,
                      MinregError, NegativeDerivative, NoRemovableTerm,
-                     NotAdmissible, NotBorel, NotSaturated, NotSchemeHF,
-                     NotStronglyStable, ParseError, PreconditionViolation,
-                     RhoTooSmall, VerificationFailure)
+                     NotAdmissible, NotSaturated, NotSchemeHF, ParseError,
+                     PreconditionViolation, RhoTooSmall, VerificationFailure)
 from .functions import (HilbertFunction, is_admissible_function,
                         is_scheme_function, min_function_regularity,
                         min_scheme_regularity, minimal_function,
@@ -48,10 +47,8 @@ __all__ = [
     "NegativeDerivative",
     "NoRemovableTerm",
     "NotAdmissible",
-    "NotBorel",
     "NotSaturated",
     "NotSchemeHF",
-    "NotStronglyStable",
     "ParseError",
     "PreconditionViolation",
     "RegularityReport",

@@ -21,6 +21,12 @@ normal form lgh() rearranges a Borel set into it without changing either
 partition's sizes.  slice_heights() reads the height classes back from a
 Hilbert function, so the witness constructions build their slice from
 the function they want and saturate it once.
+
+BorelSet and StronglyStableIdeal are plain records that trust their
+callers: every builder here yields a raising-closed set, and an ideal by
+its minimal generators.  Nothing re-checks that on construction; data
+from outside the program is checked once, by
+constructions.verify_witness.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from functools import lru_cache
 
 from .binomials import binom
 from .errors import (DegreeMismatch, InternalInconsistency, LinearVariety,
-                     NotBorel, NotSaturated, NotStronglyStable)
+                     NotSaturated)
 from .functions import HilbertFunction, minimal_function
 from .polynomials import (AdmissiblePolynomial, binomial_coeffs,
                           polynomial_from_coefficients, poly_scale, poly_sub)
@@ -117,15 +123,6 @@ def borel_leq(a, b) -> bool:
     return True
 
 
-def _adjacent_raisings(term):
-    for i in range(len(term) - 1):
-        if term[i] > 0:
-            raised = list(term)
-            raised[i] -= 1
-            raised[i + 1] += 1
-            yield tuple(raised)
-
-
 def _adjacent_lowerings(term):
     for i in range(1, len(term)):
         if term[i] > 0:
@@ -137,30 +134,12 @@ def _adjacent_lowerings(term):
 
 @dataclass(frozen=True)
 class BorelSet:
-    """A raising-closed set of equal-degree terms."""
+    """A raising-closed set of equal-degree terms.  A trusted record:
+    nothing checks the closure here; verify_witness is the check."""
 
     nvars: int
     degree: int
     terms: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", frozenset(self.terms))
-        for term in self.terms:
-            if len(term) != self.nvars:
-                raise NotBorel("term %s does not live in %d variables"
-                               % (term_string(term), self.nvars))
-            if any(e < 0 for e in term):
-                raise NotBorel("negative exponent in %s" % (term,))
-            if sum(term) != self.degree:
-                raise NotBorel("term %s is not of degree %d"
-                               % (term_string(term), self.degree))
-        # Closure under adjacent moves implies closure under all raisings.
-        for term in self.terms:
-            for raised in _adjacent_raisings(term):
-                if raised not in self.terms:
-                    raise NotBorel(
-                        "raising %s gives %s which is missing"
-                        % (term_string(term), term_string(raised)))
 
     def __len__(self):
         return len(self.terms)
@@ -215,11 +194,7 @@ def ghl_set(nvars: int, degree: int, growth, heights) -> BorelSet:
             raise InternalInconsistency("%s class %d wants %d of %d terms"
                                         % (name, index, size, len(cls)))
         picked.extend(cls[:size])
-    try:
-        return BorelSet(nvars, degree, frozenset(picked))
-    except NotBorel as exc:
-        raise InternalInconsistency(
-            "growth-height-lex set is not Borel: %s" % exc) from exc
+    return BorelSet(nvars, degree, frozenset(picked))
 
 
 def lgh(B: BorelSet) -> BorelSet:
@@ -232,12 +207,7 @@ def lgh(B: BorelSet) -> BorelSet:
     """
     if B.degree == 0 or not B.terms:
         return B
-    gv = B.growth_vector()
-    hv = B.height_vector()
-    result = ghl_set(B.nvars, B.degree, gv, hv)
-    if result.growth_vector() != gv or result.height_vector() != hv:
-        raise InternalInconsistency("lex rearrangement changed a partition")
-    return result
+    return ghl_set(B.nvars, B.degree, B.growth_vector(), B.height_vector())
 
 
 def _minimalize(terms):
@@ -252,29 +222,12 @@ def _minimalize(terms):
 
 @dataclass(frozen=True)
 class StronglyStableIdeal:
-    """Monomial ideal closed under raising moves, held by minimal generators."""
+    """Monomial ideal closed under raising moves, held by its minimal
+    generators.  A trusted record: the caller vouches for both, and
+    verify_witness is the check."""
 
     nvars: int
     generators: frozenset
-
-    def __post_init__(self):
-        gens = []
-        for term in self.generators:
-            term = tuple(int(e) for e in term)
-            if len(term) != self.nvars:
-                raise NotStronglyStable(
-                    "generator %s does not live in %d variables"
-                    % (term_string(term), self.nvars))
-            if any(e < 0 for e in term):
-                raise NotStronglyStable("negative exponent in %s" % (term,))
-            gens.append(term)
-        object.__setattr__(self, "generators", _minimalize(gens))
-        for gen in self.generators:
-            for raised in _adjacent_raisings(gen):
-                if not self.contains(raised):
-                    raise NotStronglyStable(
-                        "raising %s gives %s outside the ideal"
-                        % (term_string(gen), term_string(raised)))
 
     @property
     def regularity(self) -> int:
@@ -307,33 +260,25 @@ class StronglyStableIdeal:
         return BorelSet(self.nvars, t, frozenset(members))
 
     def saturation(self) -> "StronglyStableIdeal":
+        """Strip x0 from every generator; the stripped terms may divide
+        one another, so only the minimal ones are kept."""
         stripped = [(0,) + g[1:] for g in self.generators]
-        return StronglyStableIdeal(self.nvars, frozenset(stripped))
+        return StronglyStableIdeal(self.nvars, _minimalize(stripped))
 
     def truncated(self, t: int) -> "StronglyStableIdeal":
         """The ideal generated by the generators of degree at most t."""
         kept = [g for g in self.generators if term_degree(g) <= t]
         return StronglyStableIdeal(self.nvars, frozenset(kept))
 
-    def extended(self, nvars: int,
-                 add_generators: bool = False) -> "StronglyStableIdeal":
-        """Same generators in a ring with extra top variables.
-
-        With add_generators the new variables join the generating set, which
-        keeps the quotient (and so the Hilbert function) unchanged; without
-        it the plain extension may fail to be strongly stable.
-        """
-        if nvars < self.nvars:
-            raise NotStronglyStable(
-                "cannot shrink from %d to %d variables"
-                % (self.nvars, nvars))
+    def extended(self, nvars: int) -> "StronglyStableIdeal":
+        """Same quotient in a ring with extra top variables: the new
+        variables join the generating set, so the Hilbert function stays."""
         pad = (0,) * (nvars - self.nvars)
         gens = [g + pad for g in self.generators]
-        if add_generators:
-            for k in range(self.nvars, nvars):
-                unit = [0] * nvars
-                unit[k] = 1
-                gens.append(tuple(unit))
+        for k in range(self.nvars, nvars):
+            unit = [0] * nvars
+            unit[k] = 1
+            gens.append(tuple(unit))
         return StronglyStableIdeal(nvars, frozenset(gens))
 
     def hilbert_function(self) -> HilbertFunction:

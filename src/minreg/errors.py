@@ -1,8 +1,12 @@
 """Exception taxonomy for the minreg package.
 
 Every error raised on purpose derives from MinregError.  InputError covers
-malformed textual input (CLI exit code 2), DomainError covers structurally
+malformed input (CLI exit code 2): polynomial or function text, and a
+certificate document of the wrong shape.  DomainError covers structurally
 valid input that falls outside an operation's domain (CLI exit code 1).
+No error stands for an ideal that is not minimal or not strongly stable:
+ideals are trusted records, and a certificate's ideal is judged by
+verify_witness, whose failed checks are a report, not an exception.
 InternalInconsistency and VerificationFailure signal bugs: a theorem the
 code relies on failed to hold at runtime, or an independently re-checked
 certificate did not validate.  They are never caught and converted.
@@ -51,14 +55,6 @@ class RhoTooSmall(DomainError):
 
 class DegreeMismatch(DomainError):
     """Monomials of different degrees where equal degrees are required."""
-
-
-class NotBorel(DomainError):
-    """Set of monomials is not closed under elementary moves."""
-
-
-class NotStronglyStable(DomainError):
-    """Monomial ideal is not strongly stable."""
 
 
 class NotSaturated(DomainError):

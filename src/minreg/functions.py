@@ -23,8 +23,8 @@ from functools import lru_cache
 from .binomials import minus_minus, plus_plus
 from .errors import (InternalInconsistency, NegativeDerivative, NotAdmissible,
                      ParseError, RhoTooSmall)
-from .polynomials import (AdmissiblePolynomial, interpolate,
-                          parse_coefficients, poly_nonnegative_from, poly_sub,
+from .polynomials import (AdmissiblePolynomial, parse_coefficients,
+                          poly_nonnegative_from, poly_sub,
                           polynomial_from_coefficients)
 
 
@@ -63,9 +63,6 @@ class HilbertFunction:
             return self.prefix[t]
         return self._tail_value(t)
 
-    def values(self, stop: int):
-        return [self(t) for t in range(stop)]
-
     def delta(self) -> "HilbertFunction":
         """First difference function; NegativeDerivative if it ever dips."""
         diffs = []
@@ -83,27 +80,6 @@ class HilbertFunction:
                 tail.coefficients, len(self.prefix) + 1):
             raise NegativeDerivative("difference goes negative inside the tail")
         return HilbertFunction(tuple(diffs), tail)
-
-    def partial_sums(self) -> "HilbertFunction":
-        """Running sums; the Hilbert function of the cone construction."""
-        if self(0) != 1:
-            raise NotAdmissible("partial sums need a function starting at 1")
-        reg = len(self.prefix)
-        sums = []
-        acc = 0
-        for t in range(reg):
-            acc += self.prefix[t]
-            sums.append(acc)
-        if self.tail is None:
-            tail = AdmissiblePolynomial((acc,))
-        else:
-            points = []
-            value = acc
-            for t in range(reg, reg + self.tail.degree + 2):
-                value += self.tail(t)
-                points.append((t, value))
-            tail = AdmissiblePolynomial(interpolate(points))
-        return HilbertFunction(tuple(sums), tail)
 
     def dominated_by(self, other: "HilbertFunction") -> bool:
         """True when self(t) <= other(t) for every t >= 0."""

@@ -131,25 +131,6 @@ def poly_nonnegative_from(coeffs, start: int) -> bool:
     raise InternalInconsistency("nonnegativity scan passed its root bound undecided")
 
 
-def interpolate(points):
-    """Interpolating polynomial through distinct points, via Newton's form.
-
-    points is a sequence of (x, y) pairs; returns ascending coefficients.
-    """
-    xs = [Fraction(x) for x, _ in points]
-    dd = [Fraction(y) for _, y in points]
-    n = len(dd)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    poly = ()
-    basis = (Fraction(1),)
-    for i in range(n):
-        poly = poly_add(poly, poly_scale(basis, dd[i]))
-        basis = poly_mul(basis, (-xs[i], Fraction(1)))
-    return poly
-
-
 # ---------------------------------------------------------------------------
 # Gotzmann decomposition
 

@@ -24,13 +24,11 @@ from minreg.polynomials import parse_polynomial
 from minreg.regularity import (min_regularity, min_regularity_at,
                                min_regularity_of_function)
 
+from conftest import ideal
+
 
 def poly(text):
     return parse_polynomial(text)
-
-
-def ideal(nvars, *gens):
-    return StronglyStableIdeal(nvars, frozenset(gens))
 
 
 def chain(report):

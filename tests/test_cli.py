@@ -222,16 +222,43 @@ def test_verify_refuses_redundant_listed_generators(tmp_path, capsys):
     assert payload["regularity"] == 5
     payload["ideal"]["generators"].append([0, 0, 1, 6])
     path.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "verify", str(path))
+    code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
-    assert "not minimal: x2*x3^6" in err
+    assert "minimal generators: FAILED" in out
+
+
+def line_certificate(**changes):
+    """The certificate of the line (x1) in two variables, as a document."""
+    document = {"ideal": {"vars": 2, "generators": [[0, 1]]},
+                "hilbert_function": "; 1", "regularity": 1}
+    document["ideal"].update(changes.pop("ideal", {}))
+    document.update(changes)
+    return document
 
 
 def test_verify_rejects_malformed_documents(tmp_path, capsys):
     path = tmp_path / "broken.json"
+    path.write_text(json.dumps(line_certificate()))
+    assert run(capsys, "verify", str(path))[0] == 0
     path.write_text("{ not json")
     assert run(capsys, "verify", str(path))[0] == 2
     path.write_text(json.dumps({"regularity": 3}))
     assert run(capsys, "verify", str(path))[0] == 2
     missing = tmp_path / "missing.json"
     assert run(capsys, "verify", str(missing))[0] == 2
+    # integers are not truncated: bools and floats are malformed
+    for document in (line_certificate(ideal={"vars": 0}),
+                     line_certificate(ideal={"generators": [[0, 1.5]]}),
+                     line_certificate(ideal={"generators": [[0, True]]}),
+                     line_certificate(regularity=1.9)):
+        path.write_text(json.dumps(document))
+        assert run(capsys, "verify", str(path))[0] == 2, document
+
+
+def test_verify_refuses_a_false_regularity_at_once(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(line_certificate(regularity=100000)))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "regularity: FAILED" in out
+    assert "hilbert function by enumeration: FAILED" in out

@@ -16,9 +16,7 @@ from minreg.functions import (minimal_function, minimal_function_exact,
 from minreg.polynomials import parse_polynomial
 from minreg.regularity import min_regularity_at
 
-
-def ideal(nvars, *gens):
-    return StronglyStableIdeal(nvars, frozenset(gens))
+from conftest import ideal
 
 
 def poly(text):
@@ -304,6 +302,22 @@ def test_verifier_spots_tampering():
     wrong_reg = WitnessCertificate(cert.ideal, cert.hilbert_function,
                                    cert.regularity + 1, cert.log)
     assert "regularity" in verify_witness(wrong_reg).failures()
+
+
+@pytest.mark.parametrize("nvars, gens, failed", [
+    (3, [(0, 1, 0)], "strongly stable"),
+    (2, [(1, 0)], "strongly stable"),
+    (2, [(0, 1), (0, 2), (1, 1)], "minimal generators"),
+], ids=["x1-in-3-vars", "x0-in-2-vars", "x1-x1^2-x0x1"])
+def test_verifier_judges_the_structure(nvars, gens, failed):
+    # the record takes any generators; only the verifier judges them
+    forged = WitnessCertificate(StronglyStableIdeal(nvars, frozenset(gens)),
+                                hf("1 ; 1"), 1, ())
+    failures = verify_witness(forged).failures()
+    assert failed in failures
+    # the Hilbert function is not counted on a refused structure
+    assert {"hilbert function by slice formulas",
+            "hilbert function by enumeration"} <= set(failures)
 
 
 def test_lex_segment_packages_as_a_certificate():

@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 from minreg.errors import LinearVariety, NotAdmissible, ParseError
-from minreg.polynomials import (binomial_coeffs, interpolate,
-                                parse_coefficients, parse_polynomial,
-                                poly_eval, poly_sub,
+from minreg.polynomials import (binomial_coeffs, parse_coefficients,
+                                parse_polynomial, poly_eval, poly_sub,
                                 polynomial_from_coefficients)
+
+from conftest import interpolate
 
 
 # ---------------------------------------------------------------------------
