@@ -238,10 +238,6 @@ class StronglyStableIdeal:
     def is_saturated(self) -> bool:
         return all(g[0] == 0 for g in self.generators)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
-
     def sorted_generators(self):
         return sorted(self.generators, key=deglex_key)
 
@@ -264,11 +260,6 @@ class StronglyStableIdeal:
         one another, so only the minimal ones are kept."""
         stripped = [(0,) + g[1:] for g in self.generators]
         return StronglyStableIdeal(self.nvars, _minimalize(stripped))
-
-    def truncated(self, t: int) -> "StronglyStableIdeal":
-        """The ideal generated by the generators of degree at most t."""
-        kept = [g for g in self.generators if term_degree(g) <= t]
-        return StronglyStableIdeal(self.nvars, frozenset(kept))
 
     def extended(self, nvars: int) -> "StronglyStableIdeal":
         """Same quotient in a ring with extra top variables: the new

@@ -82,7 +82,7 @@ class AmbientTooSmall(DomainError):
 
 
 class VerificationFailure(MinregError):
-    """Independent re-verification of a constructed certificate failed."""
+    """witness_min_reg's independent check of its certificate failed."""
 
 
 class InternalInconsistency(MinregError):

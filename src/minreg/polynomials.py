@@ -85,11 +85,14 @@ def poly_shift_arg(coeffs, s):
 
 @lru_cache(maxsize=None)
 def binomial_coeffs(k: int, shift: int):
-    """Coefficients of C(z + shift, k) as a polynomial in z."""
-    coeffs = (Fraction(1),)
+    """Coefficients of C(z + shift, k) as a polynomial in z: the integer
+    product of the factors z + shift - i, divided by k! once."""
+    coeffs = [1]
     for i in range(k):
-        coeffs = poly_mul(coeffs, (Fraction(shift - i), Fraction(1)))
-    return poly_scale(coeffs, Fraction(1, math.factorial(k)))
+        coeffs = [(shift - i) * a + b
+                  for a, b in zip(coeffs + [0], [0] + coeffs)]
+    scale = math.factorial(k)
+    return tuple(Fraction(c, scale) for c in coeffs)
 
 
 def poly_nonnegative_from(coeffs, start: int) -> bool:

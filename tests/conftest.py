@@ -6,15 +6,17 @@ pass/fail verdicts survive output capturing.
 
 ideal() builds the hand-written fixture ideals.  StronglyStableIdeal
 trusts its caller, so ideal() checks each fixture by raw divisibility
-first.  values(), partial_sums() and interpolate() are used by tests
-only.
+first.  reference_verify() is the scan verifier that
+constructions.verify_witness must agree with, check for check.
+values(), partial_sums() and interpolate() are used by tests only.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from minreg.borel import StronglyStableIdeal
+from minreg.borel import StronglyStableIdeal, monomial_basis
+from minreg.constructions import VerificationReport
 from minreg.errors import NotAdmissible
 from minreg.functions import HilbertFunction
 from minreg.polynomials import (AdmissiblePolynomial, poly_add, poly_mul,
@@ -43,6 +45,52 @@ def ideal(nvars, *gens):
                 assert any(_divides(h, raised) for h in gens), \
                     "raising %s gives %s outside the ideal" % (g, raised)
     return StronglyStableIdeal(nvars, gens)
+
+
+def reference_verify(certificate):
+    """The certificate's report by scans over the ambient ring: pairwise
+    minimality, every raising tested with a scan of the generators, and
+    the Hilbert function counted over all monomials of each degree."""
+    ideal = certificate.ideal
+    checks = []
+
+    minimal = True
+    for g in ideal.generators:
+        if any(h != g and _divides(h, g) for h in ideal.generators):
+            minimal = False
+    checks.append(("minimal generators", minimal))
+
+    stable = True
+    for g in ideal.generators:
+        for i in range(ideal.nvars):
+            if g[i] == 0:
+                continue
+            for j in range(i + 1, ideal.nvars):
+                raised = list(g)
+                raised[i] -= 1
+                raised[j] += 1
+                if not ideal.contains(tuple(raised)):
+                    stable = False
+    checks.append(("strongly stable", stable))
+    checks.append(("saturated", ideal.is_saturated))
+    checks.append(("regularity", ideal.regularity == certificate.regularity))
+
+    if not all(passed for _, passed in checks):
+        checks.append(("hilbert function by slice formulas", False))
+        checks.append(("hilbert function by enumeration", False))
+        return VerificationReport(tuple(checks))
+
+    checks.append(("hilbert function by slice formulas",
+                   ideal.hilbert_function() == certificate.hilbert_function))
+    enumerated = True
+    for t in range(certificate.regularity + 4):
+        count = sum(1 for term in monomial_basis(ideal.nvars, t)
+                    if not ideal.contains(term))
+        if count != certificate.hilbert_function(t):
+            enumerated = False
+            break
+    checks.append(("hilbert function by enumeration", enumerated))
+    return VerificationReport(tuple(checks))
 
 
 def values(h, stop):

@@ -83,10 +83,10 @@ def test_expanded_lifting_matches_the_stepwise_removals(monkeypatch):
         return cert
 
     monkeypatch.setattr(constructions, "expanded_lifting", recorded)
-    witness_min_reg.cache_clear()
+    constructions._witness.cache_clear()
     for text, rho, _ in WITNESS_TABLE:
         witness_min_reg(minimal_scheme_function(poly(text), rho))
-    witness_min_reg.cache_clear()
+    constructions._witness.cache_clear()
     assert len(calls) >= len(WITNESS_TABLE)
     for f, Jz, lifted in calls:
         assert lifted == stepwise_lifting(f, Jz), f

@@ -1,0 +1,114 @@
+"""verify_witness against the scan verifier kept in conftest as the
+reference: both must give the same report, check for check."""
+
+import json
+import os
+import random
+import signal
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from minreg.borel import StronglyStableIdeal
+from minreg.constructions import (WitnessCertificate, certificate_from_dict,
+                                  verify_witness, witness_min_reg)
+from minreg.functions import (HilbertFunction, min_scheme_regularity,
+                              minimal_scheme_function, parse_hilbert_function)
+from minreg.polynomials import parse_polynomial
+
+from conftest import reference_verify
+
+SWEEP = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                     "bench", "data", "sweep.json")
+KINDS = ("stored", "drop", "raise", "value", "regularity")
+
+
+def sweep_certificates():
+    with open(SWEEP, encoding="utf-8") as handle:
+        return [cls["certificate"] for cls in json.load(handle)["classes"]]
+
+
+def tampered(rng, payload, kind):
+    """A copy of a certificate document with one seeded change: a
+    top-degree generator dropped, a generator multiplied by a variable,
+    the last prefix value moved by one, or the regularity claimed one
+    too high."""
+    cert = json.loads(json.dumps(payload))
+    gens = cert["ideal"]["generators"]
+    if kind == "drop":
+        top = max(sum(g) for g in gens)
+        gens.remove(rng.choice([g for g in gens if sum(g) == top]))
+    elif kind == "raise":
+        rng.choice(gens)[rng.randrange(cert["ideal"]["vars"])] += 1
+    elif kind == "value":
+        prefix, _, tail = cert["hilbert_function"].partition(";")
+        values = prefix.split(",")
+        values[-1] = str(int(values[-1]) + rng.choice((-1, 1)))
+        cert["hilbert_function"] = "%s ;%s" % (",".join(values), tail)
+    else:
+        cert["regularity"] += 1
+    return cert
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_verifier_matches_the_reference_on_the_sweep(kind):
+    rng = random.Random(KINDS.index(kind))
+    for n, payload in enumerate(sweep_certificates()):
+        if kind != "stored":
+            payload = tampered(rng, payload, kind)
+        cert = certificate_from_dict(payload)
+        report = verify_witness(cert)
+        assert report.checks == reference_verify(cert).checks, (n, kind)
+        assert report.ok == (kind == "stored"), (n, kind)
+
+
+ONE = parse_hilbert_function("1 ; 1")
+generator_sets = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets, st.integers(0, 1), st.integers(-1, 6))
+def test_verifier_matches_the_reference_on_random_generators(
+        data, extra, moved):
+    """Random generator sets, most of them not minimal or not strongly
+    stable; the sound ones claim their own function, with one value moved
+    up at degree `moved` (none at -1), and their regularity plus `extra`."""
+    nvars, gens = data
+    ideal = StronglyStableIdeal(nvars, frozenset(gens))
+    claim = ONE
+    probe = reference_verify(
+        WitnessCertificate(ideal, claim, ideal.regularity, ()))
+    if all(passed for _, passed in probe.checks[:4]):
+        f = ideal.hilbert_function()
+        claim = HilbertFunction(
+            tuple(f(t) + (t == moved)
+                  for t in range(max(f.regularity, moved + 1))), f.tail)
+    cert = WitnessCertificate(ideal, claim, ideal.regularity + extra, ())
+    assert verify_witness(cert).checks == reference_verify(cert).checks
+
+
+@contextmanager
+def budget(seconds):
+    def expire(signum, frame):
+        raise TimeoutError("ran past its %d s budget" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("text", ["100", "40", "30z", "z^4"])
+def test_slow_witnesses_end_and_verify(text):
+    # Each took over 12 s with a verification at every level of the
+    # recursion and the scan verifier; the public call verifies once.
+    p = parse_polynomial(text)
+    u = minimal_scheme_function(p, min_scheme_regularity(p))
+    with budget(8):
+        cert = witness_min_reg(u)
+    assert cert.hilbert_function == u
