@@ -38,8 +38,7 @@ from .binomials import binom
 from .errors import (DegreeMismatch, InternalInconsistency, LinearVariety,
                      NotSaturated)
 from .functions import HilbertFunction, minimal_function
-from .polynomials import (AdmissiblePolynomial, binomial_coeffs,
-                          polynomial_from_coefficients, poly_scale, poly_sub)
+from .polynomials import AdmissiblePolynomial, slice_tail
 
 Term = tuple
 
@@ -289,15 +288,7 @@ class StronglyStableIdeal:
         prefix = []
         for j in range(t):
             prefix.append(binom(j + n, n) - sum(hv[t - j:]))
-        tail = binomial_coeffs(n, n)
-        for i in range(self.nvars):
-            if gv[i]:
-                tail = poly_sub(tail, poly_scale(binomial_coeffs(i, i - t),
-                                                 gv[i]))
-        if not tail:
-            return HilbertFunction(tuple(prefix), None)
-        return HilbertFunction(tuple(prefix),
-                               polynomial_from_coefficients(tail))
+        return HilbertFunction(tuple(prefix), slice_tail(gv, t))
 
     def __str__(self):
         inside = ", ".join(term_string(g) for g in self.sorted_generators())
@@ -375,7 +366,7 @@ def artinian_lex_ideal(h: HilbertFunction) -> StronglyStableIdeal:
 
     h must vanish eventually; the ideal swallows every monomial from the
     first zero of h on, so its regularity is that first zero."""
-    if h.tail is not None and h.tail.coefficients:
+    if h.tail is not None:
         raise InternalInconsistency(
             "artinian construction fed the infinite function %s" % h)
     if h(0) != 1:

@@ -10,7 +10,9 @@ the recursion trace table.
 Every subcommand takes --json for a machine-readable document with a
 top-level "schema" field.  Exit codes: 0 success, 1 domain errors (an
 empty class, a linear variety, an ambient space that is too small, a
-failed verification), 2 malformed input.
+failed verification), 2 malformed input, 3 a bug (InternalInconsistency,
+VerificationFailure, or any other exception), reported like the others:
+an error document under --json, one `error:` line on stderr otherwise.
 """
 
 from __future__ import annotations
@@ -290,7 +292,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except MinregError as exc:
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except Exception as exc:  # not BaseException: interrupts get through
         if _json_mode(args):
             print(json.dumps({"schema": SCHEMA,
                               "error": {"code": type(exc).__name__,
@@ -298,10 +303,7 @@ def main(argv=None) -> int:
                              indent=2, sort_keys=True))
         else:
             print("error: %s" % exc, file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return exc.exit_code if isinstance(exc, MinregError) else 3
 
 
 def entrypoint():

@@ -37,10 +37,9 @@ from .borel import (BorelSet, StronglyStableIdeal, artinian_lex_ideal,
 from .errors import (InputError, InternalInconsistency, LinearVariety,
                      NoRemovableTerm, NotSchemeHF, PreconditionViolation,
                      VerificationFailure)
-from .functions import (HilbertFunction, is_scheme_function,
-                        least_dominated_regularity, min_scheme_regularity,
-                        minimal_function, parse_hilbert_function)
-from .polynomials import polynomial_from_coefficients, poly_add
+from .functions import (HilbertFunction, descent_step, is_scheme_function,
+                        parse_hilbert_function)
+from .polynomials import AdmissiblePolynomial
 
 
 @dataclass(frozen=True)
@@ -194,11 +193,8 @@ def _bumped(hf: HilbertFunction, start: int) -> HilbertFunction:
     """The function hf + 1 from degree start on."""
     horizon = max(hf.regularity, start) + 1
     prefix = [hf(t) + (1 if t >= start else 0) for t in range(horizon)]
-    if hf.tail is None:
-        tail = polynomial_from_coefficients((1,))
-    else:
-        tail = polynomial_from_coefficients(
-            poly_add(hf.tail.coefficients, (1,)))
+    tail = (AdmissiblePolynomial.constant(1) if hf.tail is None
+            else hf.tail + 1)
     return HilbertFunction(tuple(prefix), tail)
 
 
@@ -378,17 +374,15 @@ def _witness(u: HilbertFunction) -> WitnessCertificate:
         base = artinian_lex_ideal(u.delta())
         log = ("artinian lex base in %d variables" % base.nvars,)
         return WitnessCertificate(artinian_lift(base), u, rho + 1, log)
-    dp = p.derivative()
-    du = u.delta()
-    cap = max(rho + 1, min_scheme_regularity(dp))
-    fit = least_dominated_regularity(dp, du, cap)
+    fit, section_function = descent_step(u)
+    dp = section_function.tail
     if dp.gotzmann_number == 1:
         # dp is C(z+k, k), the polynomial of a linear space, which is
         # cut out by the zero ideal in k+1 variables
         W = StronglyStableIdeal(dp.degree + 1, frozenset())
         section_log = ("linear section in %d variables" % W.nvars,)
     else:
-        section = _witness(minimal_function(dp, fit))
+        section = _witness(section_function)
         W, section_log = section.ideal, section.log
     ambient = u(1) - 1
     if W.nvars > ambient:

@@ -9,7 +9,8 @@ ideals are trusted records, and a certificate's ideal is judged by
 verify_witness, whose failed checks are a report, not an exception.
 InternalInconsistency and VerificationFailure signal bugs: a theorem the
 code relies on failed to hold at runtime, or an independently re-checked
-certificate did not validate.  They are never caught and converted.
+certificate did not validate.  They are never caught and converted, and
+the CLI reports them with exit code 3, as it does any other exception.
 """
 
 
@@ -84,6 +85,10 @@ class AmbientTooSmall(DomainError):
 class VerificationFailure(MinregError):
     """witness_min_reg's independent check of its certificate failed."""
 
+    exit_code = 3
+
 
 class InternalInconsistency(MinregError):
     """A structural fact the algorithms rely on failed to hold at runtime."""
+
+    exit_code = 3

@@ -23,9 +23,7 @@ from functools import lru_cache
 from .binomials import minus_minus, plus_plus
 from .errors import (InternalInconsistency, NegativeDerivative, NotAdmissible,
                      ParseError, RhoTooSmall)
-from .polynomials import (AdmissiblePolynomial, parse_coefficients,
-                          poly_nonnegative_from, poly_sub,
-                          polynomial_from_coefficients)
+from .polynomials import AdmissiblePolynomial, parse_tail
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,8 @@ class HilbertFunction:
             diffs.append(step)
             previous = current
         tail = self.tail.derivative() if self.tail is not None else None
-        if tail is not None and not poly_nonnegative_from(
-                tail.coefficients, len(self.prefix) + 1):
+        if tail is not None and not tail.at_least_from(None,
+                                                       len(self.prefix) + 1):
             raise NegativeDerivative("difference goes negative inside the tail")
         return HilbertFunction(tuple(diffs), tail)
 
@@ -87,9 +85,10 @@ class HilbertFunction:
         for t in range(horizon):
             if self(t) > other(t):
                 return False
-        mine = self.tail.coefficients if self.tail is not None else ()
-        theirs = other.tail.coefficients if other.tail is not None else ()
-        return poly_nonnegative_from(poly_sub(theirs, mine), horizon)
+        if other.tail is None:
+            # an admissible tail ends above the zero one
+            return self.tail is None
+        return other.tail.at_least_from(self.tail, horizon)
 
     def __str__(self):
         left = ",".join(str(v) for v in self.prefix)
@@ -117,9 +116,7 @@ def parse_hilbert_function(text: str) -> HilbertFunction:
     right = right.strip()
     if not right:
         raise ParseError("missing tail in %r" % text)
-    coeffs = parse_coefficients(right)
-    tail = polynomial_from_coefficients(coeffs) if coeffs else None
-    return HilbertFunction(tuple(prefix), tail)
+    return HilbertFunction(tuple(prefix), parse_tail(right))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +163,16 @@ def is_scheme_function(h: HilbertFunction) -> bool:
 # minimal functions
 
 
+def _descent_values(value: int, top: int) -> list:
+    """Values at 0..top-1 below `value` at degree top, each as small as
+    Macaulay growth allows: a value v at t has v_<t> under it at t - 1."""
+    chain = []
+    for t in range(top, 0, -1):
+        value = minus_minus(value, t)
+        chain.append(value)
+    return chain[::-1]
+
+
 def minimal_function(p: AdmissiblePolynomial, rho: int) -> HilbertFunction:
     """Pointwise least admissible function with tail p and regularity <= rho.
 
@@ -177,12 +184,7 @@ def minimal_function(p: AdmissiblePolynomial, rho: int) -> HilbertFunction:
         raise RhoTooSmall("no function with tail %s has regularity %d < %d"
                           % (p, rho, least))
     effective = min(rho, max(p.gotzmann_number - 1, 0))
-    chain = []
-    value = p(effective)
-    for t in range(effective, 0, -1):
-        value = minus_minus(value, t)
-        chain.append(value)
-    return HilbertFunction(tuple(reversed(chain)), p)
+    return HilbertFunction(tuple(_descent_values(p(effective), effective)), p)
 
 
 def minimal_function_exact(p: AdmissiblePolynomial, rho: int) -> HilbertFunction:
@@ -198,14 +200,11 @@ def minimal_function_exact(p: AdmissiblePolynomial, rho: int) -> HilbertFunction
     if f.regularity == rho:
         return f
     value = p(rho - 1) + 1
-    chain = [value]
-    for t in range(rho - 1, 0, -1):
-        value = minus_minus(value, t)
-        chain.append(value)
-    if value != 1:
+    prefix = _descent_values(value, rho - 1) + [value]
+    if prefix[0] != 1:
         raise NotAdmissible("no function with tail %s has regularity"
                             " exactly %d" % (p, rho))
-    return HilbertFunction(tuple(reversed(chain)), p)
+    return HilbertFunction(tuple(prefix), p)
 
 
 @lru_cache(maxsize=None)
@@ -259,6 +258,18 @@ def least_dominated_regularity(q: AdmissiblePolynomial, w: HilbertFunction,
             return t
     raise InternalInconsistency(
         "no minimal function of %s fits below %s up to %d" % (q, w, cap))
+
+
+def descent_step(u: HilbertFunction):
+    """One level down the descent from a scheme function u whose tail has
+    positive degree: the least regularity fit, from the scheme minimum of
+    the tail's difference dp up to max(reg(u) + 1, that minimum), whose
+    minimal function of dp lies below the difference of u, and that
+    minimal function."""
+    dp = u.tail.derivative()
+    cap = max(u.regularity + 1, min_scheme_regularity(dp))
+    fit = least_dominated_regularity(dp, u.delta(), cap)
+    return fit, minimal_function(dp, fit)
 
 
 def minimal_scheme_function(p: AdmissiblePolynomial, rho: int):

@@ -10,22 +10,25 @@ The number r of summands is the Gotzmann number of p.  Summands of equal
 degree form runs, and the decomposition is computed one run at a time with
 a hockey-stick closed form, so the cost depends on the degree and never on r.
 
-Coefficient vectors are tuples of Fractions in ascending order of degree.
+A polynomial is held by its coordinates a_0, ..., a_d in the basis
+B_k(z) = C(z + k, k).  As B_k(z) - B_k(z - 1) = B_(k-1) and B_k(-1) = 0
+for k >= 1, a_k = (nabla^k p)(-1), nabla the backward difference: p is
+integer valued iff its coordinates are integers, and everything the
+package does with a polynomial is integer arithmetic on them.  Fractions
+appear only where text comes in (parse_coefficients,
+polynomial_from_coefficients) and where it goes out (__str__).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from itertools import accumulate, zip_longest
 
-from .errors import InternalInconsistency, LinearVariety, NotAdmissible, ParseError
-
-
-# ---------------------------------------------------------------------------
-# coefficient vector helpers
+from .errors import LinearVariety, NotAdmissible, ParseError
 
 
 def _trim(coeffs):
@@ -35,55 +38,13 @@ def _trim(coeffs):
     return tuple(cs)
 
 
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return _trim(tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)))
-
-
-def poly_sub(a, b):
-    n = max(len(a), len(b))
-    return _trim(tuple(
-        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-        for i in range(n)))
-
-
-def poly_scale(a, c):
-    c = Fraction(c)
-    return _trim(tuple(c * x for x in a))
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(tuple(out))
-
-
-def poly_eval(coeffs, x):
+def _horner(coeffs, x):
     acc = Fraction(0)
-    x = Fraction(x)
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def poly_shift_arg(coeffs, s):
-    """Coefficients of p(z + s)."""
-    result = ()
-    basis = (Fraction(1),)
-    step = (Fraction(s), Fraction(1))
-    for c in coeffs:
-        result = poly_add(result, poly_scale(basis, c))
-        basis = poly_mul(basis, step)
-    return result
-
-
-@lru_cache(maxsize=None)
 def binomial_coeffs(k: int, shift: int):
     """Coefficients of C(z + shift, k) as a polynomial in z: the integer
     product of the factors z + shift - i, divided by k! once."""
@@ -95,131 +56,121 @@ def binomial_coeffs(k: int, shift: int):
     return tuple(Fraction(c, scale) for c in coeffs)
 
 
-def poly_nonnegative_from(coeffs, start: int) -> bool:
-    """True iff the polynomial takes values >= 0 at every integer >= start.
-
-    Scans upward from start.  At each point the Newton certificate is
-    tried: when every iterated forward difference at t is >= 0 the
-    polynomial is a nonnegative combination of C(z - t, k) from t on and
-    the scan can stop.  A Cauchy root bound on all the difference
-    polynomials caps the scan; passing the cap without a verdict would be
-    a bug.
-    """
-    if not coeffs:
-        return True
-    if coeffs[-1] < 0:
-        return False
-    bound = start
-    q = tuple(coeffs)
-    while q:
-        if q[-1] <= 0:
-            raise InternalInconsistency("forward difference lost its positive lead")
-        bound = max(bound, start + 2 + int(max(abs(c) for c in q) / q[-1]))
-        q = poly_sub(poly_shift_arg(q, 1), q)
-    d = len(coeffs) - 1
-    t = start
-    while t <= bound:
-        level = [poly_eval(coeffs, t + i) for i in range(d + 1)]
-        if level[0] < 0:
-            return False
-        certified = True
-        while len(level) > 1:
-            level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
-            if level[0] < 0:
-                certified = False
-                break
-        if certified:
-            return True
-        t += 1
-    raise InternalInconsistency("nonnegativity scan passed its root bound undecided")
-
-
-# ---------------------------------------------------------------------------
-# Gotzmann decomposition
-
-
-def _gotzmann_runs(coeffs):
+def _gotzmann_runs(coordinates):
     """Runs ((degree, count), ...) of the Gotzmann writing, degree descending.
 
-    Raises NotAdmissible when no writing exists.  Each run of count
-    consecutive summands of equal degree k starting after `position`
-    earlier summands contributes the closed form
-
-        C(z + k - position + 1, k + 1) - C(z + k - position + 1 - count, k + 1).
+    Raises NotAdmissible when no writing exists.  The top run has a_d
+    summands.  Its summands C(z + d - s, d), s = position, ...,
+    position + count - 1, have the coordinate (-1)^m C(s, m) on B_(d-m),
+    which sum to (-1)^m [C(position + count, m + 1) - C(position, m + 1)].
     """
     runs = []
     position = 0
-    remainder = _trim(coeffs)
-    while remainder:
-        d = len(remainder) - 1
-        lead = remainder[-1]
-        if d == 0:
-            if lead.denominator != 1 or lead <= 0:
-                raise NotAdmissible("constant remainder %s is not a positive integer" % lead)
-            runs.append((0, int(lead)))
-            break
-        count = lead * math.factorial(d)
-        if count.denominator != 1 or count <= 0:
+    rest = list(coordinates)
+    while rest:
+        d = len(rest) - 1
+        count = rest[d]
+        if count <= 0:
+            if d == 0:
+                raise NotAdmissible(
+                    "constant remainder %d is not a positive integer" % count)
             raise NotAdmissible(
-                "degree %d needs a positive integer number of summands, got %s" % (d, count))
-        count = int(count)
-        shift = d - position + 1
-        block = poly_sub(binomial_coeffs(d + 1, shift),
-                         binomial_coeffs(d + 1, shift - count))
-        remainder = poly_sub(remainder, block)
-        if remainder and len(remainder) - 1 >= d:
-            raise InternalInconsistency("gotzmann block failed to lower the degree")
+                "degree %d needs a positive integer number of summands,"
+                " got %d" % (d, count))
+        for m in range(min(d, position + count - 1) + 1):
+            rest[d - m] -= (-1) ** m * (math.comb(position + count, m + 1)
+                                        - math.comb(position, m + 1))
         runs.append((d, count))
         position += count
+        rest = list(_trim(rest))
     return tuple(runs)
 
 
 @dataclass(frozen=True)
 class AdmissiblePolynomial:
-    """A Hilbert polynomial, stored as ascending Fraction coefficients.
+    """A Hilbert polynomial, held by its integer coordinates in the basis
+    C(z + k, k), k = 0..degree.  A trusted record: the builders here yield
+    admissible polynomials, and outside input comes in through
+    polynomial_from_coefficients, which checks it."""
 
-    Construction fails with NotAdmissible when the polynomial has no
-    Gotzmann writing.  The zero polynomial is rejected.
-    """
+    coordinates: tuple
 
-    coefficients: tuple
-    runs: tuple = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        coeffs = _trim(tuple(Fraction(c) for c in self.coefficients))
-        if not coeffs:
-            raise NotAdmissible("the zero polynomial has no gotzmann writing")
-        for t in range(len(coeffs)):
-            if poly_eval(coeffs, t).denominator != 1:
-                raise NotAdmissible("not integer valued at z = %d" % t)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "runs", _gotzmann_runs(coeffs))
+    @cached_property
+    def runs(self):
+        return _gotzmann_runs(self.coordinates)
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.coordinates) - 1
 
     @property
     def gotzmann_number(self) -> int:
         return sum(count for _, count in self.runs)
 
-    def __call__(self, z):
-        value = poly_eval(self.coefficients, z)
-        if value.denominator == 1:
-            return int(value)
+    def __call__(self, t: int) -> int:
+        """p(t) = sum_k a_k C(t + k, k), the binomial taken as a polynomial
+        in t, built up by C(t + k, k) = C(t + k - 1, k - 1) (t + k) / k."""
+        value, basis = 0, 1
+        for k, a in enumerate(self.coordinates):
+            if k:
+                basis = basis * (t + k) // k
+            value += a * basis
         return value
 
     def derivative(self):
         """First difference p(z) - p(z - 1); None when p is constant."""
         if self.degree == 0:
             return None
+        return AdmissiblePolynomial(self.coordinates[1:])
+
+    def __add__(self, c: int) -> "AdmissiblePolynomial":
+        """p + c for an integer c >= 0: c more constant summands."""
         return AdmissiblePolynomial(
-            poly_sub(self.coefficients, poly_shift_arg(self.coefficients, -1)))
+            (self.coordinates[0] + c,) + self.coordinates[1:])
+
+    @classmethod
+    def constant(cls, c: int) -> "AdmissiblePolynomial":
+        """The constant polynomial c >= 1."""
+        return cls((c,))
+
+    def at_least_from(self, other, start: int) -> bool:
+        """True when p(t) >= other(t) at every integer t >= start; other
+        None is the zero polynomial.
+
+        Scans s = start, start + 1, ... on r = p - other.  r(z + s) has
+        the coordinate sum_m C(s + m - 1, m) c_(j+m) on B_j, and the
+        step to s + 1 replaces each coordinate by the sum of those at or
+        above it.  The scan stops with False at a negative value r(s),
+        the sum of the coordinates, and with True once no coordinate is
+        negative, as then r(s + u) >= 0 for every u >= 0.  With a positive
+        top coordinate every coordinate eventually turns positive, so the
+        scan ends; with a negative one r ends negative.
+        """
+        theirs = other.coordinates if other is not None else ()
+        r = _trim(a - b for a, b in zip_longest(self.coordinates, theirs,
+                                                fillvalue=0))
+        if not r:
+            return True
+        if r[-1] < 0:
+            return False
+        c = [sum((math.comb(start + m - 1, m) if m else 1) * r[j + m]
+                 for m in range(len(r) - j))
+             for j in range(len(r))]
+        while min(c) < 0:
+            if sum(c) < 0:
+                return False
+            c = list(accumulate(reversed(c)))[::-1]
+        return True
 
     def __str__(self):
+        coeffs = [Fraction(0)] * len(self.coordinates)
+        for k, a in enumerate(self.coordinates):
+            if a:
+                for exp, c in enumerate(binomial_coeffs(k, k)):
+                    coeffs[exp] += a * c
         parts = []
         for exp in range(self.degree, -1, -1):
-            c = self.coefficients[exp] if exp < len(self.coefficients) else Fraction(0)
+            c = coeffs[exp]
             if c == 0:
                 continue
             sign = "-" if c < 0 else ("+" if parts else "")
@@ -234,6 +185,24 @@ class AdmissiblePolynomial:
 
     def __repr__(self):
         return "AdmissiblePolynomial(%r)" % str(self)
+
+
+def slice_tail(growth, degree: int):
+    """Hilbert polynomial of the saturated quotient by an ideal generated
+    in degree at most `degree` whose degree-`degree` slice has growth[i]
+    terms with least variable x_i, in n + 1 = len(growth) variables:
+
+        C(z + n, n) - sum_i growth[i] C(z + i - degree, i),
+
+    where C(z + i - t, i) has the coordinate (-1)^m C(t, m) on B_(i-m).
+    None when it is the zero polynomial.
+    """
+    coordinates = [0] * (len(growth) - 1) + [1]
+    for i, size in enumerate(growth):
+        for m in range(min(i, degree) + 1):
+            coordinates[i - m] -= (-1) ** m * size * math.comb(degree, m)
+    coordinates = _trim(coordinates)
+    return AdmissiblePolynomial(coordinates) if coordinates else None
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +256,35 @@ def _parse_bracket_list(s: str):
 
 
 def polynomial_from_coefficients(coeffs) -> AdmissiblePolynomial:
-    """Admissible polynomial from ascending coefficients.
+    """Admissible polynomial from ascending rational coefficients, with
+    any Gotzmann number >= 1.
 
-    Tolerates any Gotzmann number >= 1; reserved for internal callers that
-    handle difference polynomials and degenerate tails.
+    Takes the coordinates a_k = (nabla^k p)(-1) from the values at -1,
+    ..., -(d + 1).  NotAdmissible for the zero polynomial, a polynomial
+    that is not integer valued, or one without a Gotzmann writing.
     """
-    return AdmissiblePolynomial(tuple(coeffs))
+    coeffs = _trim(Fraction(c) for c in coeffs)
+    if not coeffs:
+        raise NotAdmissible("the zero polynomial has no gotzmann writing")
+    level = [_horner(coeffs, -1 - j) for j in range(len(coeffs))]
+    coordinates = []
+    while level:
+        coordinates.append(level[0])
+        level = [a - b for a, b in zip(level, level[1:])]
+    if any(a.denominator != 1 for a in coordinates):
+        t = next(t for t in range(len(coeffs))
+                 if _horner(coeffs, t).denominator != 1)
+        raise NotAdmissible("not integer valued at z = %d" % t)
+    p = AdmissiblePolynomial(tuple(int(a) for a in coordinates))
+    p.runs  # raises NotAdmissible when there is no Gotzmann writing
+    return p
+
+
+def parse_tail(text: str):
+    """Polynomial from text, None for the zero polynomial; tolerates any
+    Gotzmann number >= 1, as the tail of a Hilbert function may."""
+    coeffs = parse_coefficients(text)
+    return polynomial_from_coefficients(coeffs) if coeffs else None
 
 
 def parse_polynomial(text: str) -> AdmissiblePolynomial:
@@ -305,7 +297,7 @@ def parse_polynomial(text: str) -> AdmissiblePolynomial:
     coeffs = parse_coefficients(text)
     if not coeffs:
         raise NotAdmissible("the zero polynomial is not a Hilbert polynomial here")
-    p = AdmissiblePolynomial(coeffs)
+    p = polynomial_from_coefficients(coeffs)
     if p.gotzmann_number < 2:
         raise LinearVariety(
             "%s is the Hilbert polynomial of a linear variety; its regularity is 0" % p)

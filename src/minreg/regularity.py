@@ -26,10 +26,9 @@ from functools import lru_cache
 
 from .errors import (AmbientTooSmall, EmptyClass, InternalInconsistency,
                      LinearVariety, NotSchemeHF)
-from .functions import (HilbertFunction, is_scheme_function,
-                        least_dominated_regularity, min_function_regularity,
-                        min_scheme_regularity, minimal_function,
-                        minimal_scheme_function)
+from .functions import (HilbertFunction, descent_step, is_scheme_function,
+                        min_function_regularity, min_scheme_regularity,
+                        minimal_function, minimal_scheme_function)
 from .polynomials import AdmissiblePolynomial
 
 
@@ -86,21 +85,19 @@ def _check_in_scope(p: AdmissiblePolynomial):
             "%s belongs to a linear variety; its regularity is 0" % p)
 
 
-def _function_trace(u: HilbertFunction, p: AdmissiblePolynomial):
+def _function_trace(u: HilbertFunction):
     """Trace rows for the descent starting at the scheme function u."""
-    rho_u = u.regularity
+    p, rho_u = u.tail, u.regularity
     if p.degree == 0:
         row = TraceRow(p, p.gotzmann_number, min_function_regularity(p),
                        min_scheme_regularity(p), rho_u, None, rho_u + 1)
         return (row,)
-    q = p.derivative()
-    cap = max(rho_u + 1, min_scheme_regularity(q))
-    fit = least_dominated_regularity(q, u.delta(), cap)
-    sub = minimal_function(q, fit)
+    fit, sub = descent_step(u)
     if sub.regularity != fit:
         raise InternalInconsistency(
-            "minimal function of %s at %d lost its regularity" % (q, fit))
-    below = _function_trace(sub, q)
+            "minimal function of %s at %d lost its regularity"
+            % (sub.tail, fit))
+    below = _function_trace(sub)
     bound = max(rho_u + 1, below[0].regularity)
     row = TraceRow(p, p.gotzmann_number, min_function_regularity(p),
                    min_scheme_regularity(p), rho_u, fit, bound)
@@ -124,7 +121,7 @@ def min_regularity_at(p: AdmissiblePolynomial, rho: int) -> RegularityReport:
         raise EmptyClass(
             "no scheme with polynomial %s has a Hilbert function of "
             "regularity %d" % (p, rho))
-    report = RegularityReport(_function_trace(u, p))
+    report = RegularityReport(_function_trace(u))
     threshold = min_scheme_regularity(p)
     if rho > threshold:
         expected = _closed_form(p, rho)
@@ -150,7 +147,7 @@ def min_regularity_of_function(u: HilbertFunction) -> RegularityReport:
     if u.tail is None or u.tail.gotzmann_number < 2:
         raise LinearVariety(
             "functions of linear varieties are out of scope: %s" % u)
-    return RegularityReport(_function_trace(u, u.tail))
+    return RegularityReport(_function_trace(u))
 
 
 def min_regularity_in_space(p: AdmissiblePolynomial, n: int) -> RegularityReport:

@@ -9,6 +9,10 @@ trusts its caller, so ideal() checks each fixture by raw divisibility
 first.  reference_verify() is the scan verifier that
 constructions.verify_witness must agree with, check for check.
 values(), partial_sums() and interpolate() are used by tests only.
+poly_add, poly_sub, poly_scale, poly_mul, poly_eval and poly_shift_arg
+work on ascending monomial coefficients, which the program only parses
+and prints, and poly_nonnegative_from() is the forward-difference scan on
+them that AdmissiblePolynomial.at_least_from must agree with.
 """
 
 from fractions import Fraction
@@ -17,10 +21,9 @@ import pytest
 
 from minreg.borel import StronglyStableIdeal, monomial_basis
 from minreg.constructions import VerificationReport
-from minreg.errors import NotAdmissible
+from minreg.errors import InternalInconsistency, NotAdmissible
 from minreg.functions import HilbertFunction
-from minreg.polynomials import (AdmissiblePolynomial, poly_add, poly_mul,
-                                poly_scale)
+from minreg.polynomials import polynomial_from_coefficients
 
 
 def _divides(a, b):
@@ -93,6 +96,96 @@ def reference_verify(certificate):
     return VerificationReport(tuple(checks))
 
 
+def _trim(coeffs):
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                 for i in range(n))
+
+
+def poly_sub(a, b):
+    return poly_add(a, poly_scale(b, -1))
+
+
+def poly_scale(a, c):
+    c = Fraction(c)
+    return _trim(c * x for x in a)
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def poly_eval(coeffs, x):
+    acc = Fraction(0)
+    x = Fraction(x)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_shift_arg(coeffs, s):
+    """Coefficients of p(z + s)."""
+    result = ()
+    basis = (Fraction(1),)
+    step = (Fraction(s), Fraction(1))
+    for c in coeffs:
+        result = poly_add(result, poly_scale(basis, c))
+        basis = poly_mul(basis, step)
+    return result
+
+
+def poly_nonnegative_from(coeffs, start: int) -> bool:
+    """True iff the polynomial takes values >= 0 at every integer >= start.
+
+    Scans upward from start.  At each point the Newton certificate is
+    tried: when every iterated forward difference at t is >= 0 the
+    polynomial is a nonnegative combination of C(z - t, k) from t on and
+    the scan can stop.  A Cauchy root bound on all the difference
+    polynomials caps the scan; passing the cap without a verdict would be
+    a bug.
+    """
+    if not coeffs:
+        return True
+    if coeffs[-1] < 0:
+        return False
+    bound = start
+    q = tuple(coeffs)
+    while q:
+        if q[-1] <= 0:
+            raise InternalInconsistency("forward difference lost its positive lead")
+        bound = max(bound, start + 2 + int(max(abs(c) for c in q) / q[-1]))
+        q = poly_sub(poly_shift_arg(q, 1), q)
+    d = len(coeffs) - 1
+    t = start
+    while t <= bound:
+        level = [poly_eval(coeffs, t + i) for i in range(d + 1)]
+        if level[0] < 0:
+            return False
+        certified = True
+        while len(level) > 1:
+            level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
+            if level[0] < 0:
+                certified = False
+                break
+        if certified:
+            return True
+        t += 1
+    raise InternalInconsistency("nonnegativity scan passed its root bound undecided")
+
+
 def values(h, stop):
     return [h(t) for t in range(stop)]
 
@@ -127,14 +220,14 @@ def partial_sums(h):
         acc += h.prefix[t]
         sums.append(acc)
     if h.tail is None:
-        tail = AdmissiblePolynomial((acc,))
+        tail = polynomial_from_coefficients((acc,))
     else:
         points = []
         value = acc
         for t in range(reg, reg + h.tail.degree + 2):
             value += h.tail(t)
             points.append((t, value))
-        tail = AdmissiblePolynomial(interpolate(points))
+        tail = polynomial_from_coefficients(interpolate(points))
     return HilbertFunction(tuple(sums), tail)
 
 _config = None

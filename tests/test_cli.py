@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+import minreg.cli
 from minreg.cli import main
 from minreg.constructions import certificate_from_dict, verify_witness
+from minreg.errors import InternalInconsistency, VerificationFailure
 
 
 def run(capsys, *argv):
@@ -97,6 +99,34 @@ def test_parse_error_exit_code(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "zero denominator" in err
+
+
+def test_bugs_exit_three(capsys, monkeypatch):
+    # a Gotzmann number past Python's 4300-digit int-to-str limit: the
+    # ValueError is reported, not dumped as a traceback
+    code, out, err = run(capsys, "gotzmann", "z^10")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "gotzmann", "z^10", "--json")
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "ValueError"
+    for error in (InternalInconsistency, VerificationFailure):
+        def broken(*args, error=error):
+            raise error("broken on purpose")
+        monkeypatch.setattr(minreg.cli, "witness_min_reg", broken)
+        code, out, _ = run(capsys, "witness", "5z-3", "--json")
+        assert code == 3
+        assert json.loads(out)["error"] == {"code": error.__name__,
+                                            "message": "broken on purpose"}
+
+
+def test_interrupts_are_not_caught(capsys, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(minreg.cli, "min_regularity", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["minreg", "5z-3"])
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -2,19 +2,25 @@
 
 Small decompositions are verified against a naive summand-by-summand
 reconstruction (the defining identity), large ones through the structural
-fact that differencing shifts every summand down one degree.
+fact that differencing shifts every summand down one degree.  Random
+Gotzmann writings check the coordinates against the printed coefficients,
+and the nonnegativity scan is checked against the monomial-basis
+reference scan in conftest.
 """
 
 from fractions import Fraction
+from itertools import groupby, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minreg.errors import LinearVariety, NotAdmissible, ParseError
-from minreg.polynomials import (binomial_coeffs, parse_coefficients,
-                                parse_polynomial, poly_eval, poly_sub,
+from minreg.polynomials import (AdmissiblePolynomial, binomial_coeffs,
+                                parse_coefficients, parse_polynomial,
                                 polynomial_from_coefficients)
 
-from conftest import interpolate
+from conftest import (interpolate, poly_add, poly_eval, poly_nonnegative_from,
+                      poly_scale, poly_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +155,7 @@ def test_gotzmann_runs_small(text, r, runs):
     assert p.runs == runs
     assert p.gotzmann_number == r
     rebuilt = _naive_from_runs(p.runs)
-    assert poly_sub(rebuilt, p.coefficients) == ()
+    assert poly_sub(rebuilt, parse_coefficients(str(p))) == ()
 
 
 def test_gotzmann_runs_large():
@@ -221,4 +227,78 @@ def test_binomial_coeffs_are_polynomials_not_conventions():
 def test_interpolate_recovers_cubic():
     p = parse_polynomial("2z^3-6z^2+29z-20")
     points = [(t, p(t)) for t in range(7, 12)]
-    assert interpolate(points) == p.coefficients
+    assert interpolate(points) == parse_coefficients(str(p))
+
+
+# ---------------------------------------------------------------------------
+# random Gotzmann writings
+
+
+writings = st.lists(st.integers(0, 4), min_size=2, max_size=14).map(
+    lambda degrees: sorted(degrees, reverse=True))
+
+
+def _from_writing(writing):
+    """Ascending coefficients of sum_i C(z + k_i - (i - 1), k_i)."""
+    coeffs = ()
+    for i, k in enumerate(writing):
+        coeffs = poly_add(coeffs, binomial_coeffs(k, k - i))
+    return coeffs
+
+
+def _runs(writing):
+    return tuple((k, len(list(group))) for k, group in groupby(writing))
+
+
+@settings(max_examples=60, deadline=None)
+@given(writings)
+def test_random_writings(writing):
+    p = polynomial_from_coefficients(_from_writing(writing))
+    assert parse_polynomial(str(p)) == p
+    assert p.runs == _runs(writing)
+    printed = parse_coefficients(str(p))
+    for t in range(-3, 31):
+        assert p(t) == poly_eval(printed, t)
+    lowered = [k - 1 for k in writing if k >= 1]
+    d = p.derivative()
+    if lowered:
+        assert d.runs == _runs(lowered)
+    else:
+        assert d is None
+
+
+coordinates = st.lists(st.integers(-30, 30), min_size=1, max_size=5).filter(
+    lambda cs: cs[-1] != 0)
+
+
+def _monomial(coords):
+    coeffs = ()
+    for k, a in enumerate(coords):
+        coeffs = poly_add(coeffs, poly_scale(binomial_coeffs(k, k), a))
+    return coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(coordinates, coordinates, st.integers(0, 20))
+def test_nonnegativity_matches_the_reference(mine, theirs, start):
+    """Random integer-valued polynomials, held by their coordinates
+    (AdmissiblePolynomial does not check them), against the scan of the
+    forward differences on their monomial coefficients."""
+    p, q = AdmissiblePolynomial(tuple(mine)), AdmissiblePolynomial(tuple(theirs))
+    assert p.at_least_from(None, start) == \
+        poly_nonnegative_from(_monomial(mine), start)
+    assert p.at_least_from(q, start) == poly_nonnegative_from(
+        poly_sub(_monomial(mine), _monomial(theirs)), start)
+
+
+def test_nonnegativity_on_a_grid():
+    """Every polynomial of degree at most 2 with coordinates in -4..4,
+    from every start in 0..5: the roots fall at and around the start."""
+    for n in (1, 2, 3):
+        for coords in product(range(-4, 5), repeat=n):
+            if coords[-1] == 0:
+                continue
+            p, coeffs = AdmissiblePolynomial(coords), _monomial(coords)
+            for start in range(6):
+                assert p.at_least_from(None, start) == \
+                    poly_nonnegative_from(coeffs, start), (coords, start)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minreg.borel import StronglyStableIdeal
+from minreg.cli import main
 from minreg.constructions import (WitnessCertificate, certificate_from_dict,
                                   verify_witness, witness_min_reg)
 from minreg.functions import (HilbertFunction, min_scheme_regularity,
@@ -112,3 +113,17 @@ def test_slow_witnesses_end_and_verify(text):
     with budget(8):
         cert = witness_min_reg(u)
     assert cert.hilbert_function == u
+
+
+def test_zero_ideal_in_many_variables_is_refused_at_once(tmp_path, capsys):
+    # The slice formulas give the tail C(z+1999, 1999), not the claimed
+    # zero; checking its values one by one ran past 10 s.
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"ideal": {"vars": 2000, "generators": []},
+                                "hilbert_function": "1 ; 0",
+                                "regularity": 0}))
+    with budget(5):
+        code = main(["verify", str(path)])
+    assert code == 1
+    assert "hilbert function by slice formulas: FAILED" in \
+        capsys.readouterr().out
