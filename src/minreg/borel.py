@@ -19,8 +19,9 @@ A growth-height-lexicographic (ghl) set takes the lex-first terms of
 every class, so ghl_set() builds it from the class sizes alone, and the
 normal form lgh() rearranges a Borel set into it without changing either
 partition's sizes.  slice_heights() reads the height classes back from a
-Hilbert function, so the witness constructions build their slice from
-the function they want and saturate it once.
+Hilbert function and polynomials.slice_growth() the growth classes from
+its tail, so ghl_ideal() builds the witnesses, grafts and lex segments
+from the function they want and saturates the slice once.
 
 BorelSet and StronglyStableIdeal are plain records that trust their
 callers: every builder here yields a raising-closed set, and an ideal by
@@ -38,7 +39,7 @@ from .binomials import binom
 from .errors import (DegreeMismatch, InternalInconsistency, LinearVariety,
                      NotSaturated)
 from .functions import HilbertFunction, minimal_function
-from .polynomials import AdmissiblePolynomial, slice_tail
+from .polynomials import AdmissiblePolynomial, slice_growth, slice_tail
 
 Term = tuple
 
@@ -87,6 +88,8 @@ def monomial_basis(nvars: int, degree: int):
     """All degree-d terms in nvars variables, lex-descending."""
     if degree < 0:
         return ()
+    if nvars == 0:
+        return ((),) if degree == 0 else ()
     if nvars == 1:
         return ((degree,),)
     terms = []
@@ -178,14 +181,16 @@ def ghl_set(nvars: int, degree: int, growth, heights) -> BorelSet:
 
     Takes the lex-first growth[i] x0-free terms with least variable x_i
     for i >= 1 and the lex-first heights[j] terms with x0-exponent j for
-    j >= 1; growth[0] and heights[0] follow from the others.
+    j >= 1; growth[0] and heights[0] follow from the others.  Class i is
+    x_i times the terms in x_i..x_n of degree s - 1, class j is x0^j
+    times the terms in x1..x_n of degree s - j, both in lex order.
     """
-    free = [t for t in monomial_basis(nvars, degree) if t[0] == 0]
-    classes = [("growth", i, growth[i], [t for t in free if min_index(t) == i])
+    classes = [("growth", i, growth[i],
+                [(0,) * i + (t[0] + 1,) + t[1:]
+                 for t in monomial_basis(nvars - i, degree - 1)])
                for i in range(1, nvars)]
     classes += [("height", j, heights[j],
-                 [(j,) + t[1:] for t in monomial_basis(nvars, degree - j)
-                  if t[0] == 0])
+                 [(j,) + t for t in monomial_basis(nvars - 1, degree - j)])
                 for j in range(1, degree + 1)]
     picked = []
     for name, index, size, cls in classes:
@@ -260,17 +265,6 @@ class StronglyStableIdeal:
         stripped = [(0,) + g[1:] for g in self.generators]
         return StronglyStableIdeal(self.nvars, _minimalize(stripped))
 
-    def extended(self, nvars: int) -> "StronglyStableIdeal":
-        """Same quotient in a ring with extra top variables: the new
-        variables join the generating set, so the Hilbert function stays."""
-        pad = (0,) * (nvars - self.nvars)
-        gens = [g + pad for g in self.generators]
-        for k in range(self.nvars, nvars):
-            unit = [0] * nvars
-            unit[k] = 1
-            gens.append(tuple(unit))
-        return StronglyStableIdeal(nvars, frozenset(gens))
-
     def hilbert_function(self) -> HilbertFunction:
         """Hilbert function of the saturated quotient.
 
@@ -336,6 +330,21 @@ def saturate_slice(B: BorelSet) -> StronglyStableIdeal:
     return StronglyStableIdeal(B.nvars, frozenset(gens))
 
 
+def ghl_ideal(f: HilbertFunction, degree: int,
+              nvars: int) -> StronglyStableIdeal:
+    """The saturation of the ghl set of degree s = `degree` in nvars
+    variables whose class sizes fit the function f: the growth classes
+    come from its tail (slice_growth) and the height classes from its
+    values (slice_heights).  When a saturated strongly stable ideal J
+    generated in degree <= s has quotient function f, the set is lgh of
+    J's degree-s slice, as both have J's class sizes, so this ideal has
+    quotient function f too.
+    """
+    return saturate_slice(ghl_set(nvars, degree,
+                                  slice_growth(f.tail, degree, nvars),
+                                  slice_heights(f, degree, nvars)))
+
+
 def artinian_lift(A: StronglyStableIdeal) -> StronglyStableIdeal:
     """View an ideal in x1..xn inside K[x0, ..., xn], x0 the new least
     variable.  The result is saturated by construction and keeps the
@@ -348,51 +357,13 @@ def artinian_lift(A: StronglyStableIdeal) -> StronglyStableIdeal:
 def lex_segment_ideal(p: AdmissiblePolynomial) -> StronglyStableIdeal:
     """The saturated lex-segment ideal with Hilbert polynomial p.
 
-    Its quotient Hilbert function is the least one with polynomial p and
-    its regularity is the Gotzmann number r, so it is the saturation of
-    its degree-r slice: the lex-first C(r+n, n) - p(r) terms.
+    Its quotient Hilbert function f is the least one with polynomial p and
+    its regularity is the Gotzmann number r.  Its degree-r slice, the
+    lex-first C(r+n, n) - p(r) terms, takes the lex-first terms of every
+    class, so it is the ghl slice of f at r.
     """
     r = p.gotzmann_number
     if r < 2:
         raise LinearVariety("lex-segment construction needs r > 1")
-    nvars = minimal_function(p, r - 1)(1)
-    size = binom(r + nvars - 1, nvars - 1) - p(r)
-    return saturate_slice(
-        BorelSet(nvars, r, frozenset(monomial_basis(nvars, r)[:size])))
-
-
-def artinian_lex_ideal(h: HilbertFunction) -> StronglyStableIdeal:
-    """Lex ideal with finite quotient function h, in h(1) variables.
-
-    h must vanish eventually; the ideal swallows every monomial from the
-    first zero of h on, so its regularity is that first zero."""
-    if h.tail is not None:
-        raise InternalInconsistency(
-            "artinian construction fed the infinite function %s" % h)
-    if h(0) != 1:
-        raise InternalInconsistency(
-            "quotient function must start at 1, got %s" % h)
-    nvars = h(1)
-    if nvars < 1:
-        raise InternalInconsistency("no variables left for %s" % h)
-    gens = []
-    previous = set()
-    for t in range(1, h.regularity + 1):
-        basis = monomial_basis(nvars, t)
-        size = binom(t + nvars - 1, nvars - 1) - h(t)
-        if not 0 <= size <= len(basis):
-            raise InternalInconsistency(
-                "lex slice of size %d out of range at degree %d" % (size, t))
-        current = set(basis[:size])
-        grown = set()
-        for term in previous:
-            for k in range(nvars):
-                bumped = list(term)
-                bumped[k] += 1
-                grown.add(tuple(bumped))
-        if not grown <= current:
-            raise InternalInconsistency(
-                "lex slices stopped nesting at degree %d" % t)
-        gens.extend(current - grown)
-        previous = current
-    return StronglyStableIdeal(nvars, frozenset(gens))
+    f = minimal_function(p, r - 1)
+    return ghl_ideal(f, r, f(1))

@@ -10,9 +10,11 @@ the recursion trace table.
 Every subcommand takes --json for a machine-readable document with a
 top-level "schema" field.  Exit codes: 0 success, 1 domain errors (an
 empty class, a linear variety, an ambient space that is too small, a
-failed verification), 2 malformed input, 3 a bug (InternalInconsistency,
-VerificationFailure, or any other exception), reported like the others:
-an error document under --json, one `error:` line on stderr otherwise.
+failed verification), 2 malformed input (a certificate file that cannot
+be read, or a -o file that cannot be written), 3 a bug
+(InternalInconsistency, VerificationFailure, or any other exception, any
+other OSError included), reported like the others: an error document
+under --json, one `error:` line on stderr otherwise.
 """
 
 from __future__ import annotations
@@ -161,8 +163,12 @@ def cmd_witness(args) -> int:
     payload["schema"] = SCHEMA
     document = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(document + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(document + "\n")
+        except OSError as exc:
+            raise InputError("cannot write %s: %s"
+                             % (args.output, exc.strerror or exc)) from None
         if not _json_mode(args):
             print("wrote a regularity-%d certificate to %s"
                   % (cert.regularity, args.output))
@@ -174,12 +180,15 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.certificate, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(args.certificate, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputError("%s is not JSON: %s"
-                             % (args.certificate, exc)) from None
+    except OSError as exc:
+        raise InputError("cannot read %s: %s"
+                         % (args.certificate, exc.strerror or exc)) from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise InputError("%s is not JSON: %s"
+                         % (args.certificate, exc)) from None
     cert = certificate_from_dict(payload)
     report = verify_witness(cert)
     lines = ["%s: %s" % (name, "ok" if passed else "FAILED")
@@ -292,9 +301,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except Exception as exc:  # not BaseException: interrupts get through
         if _json_mode(args):
             print(json.dumps({"schema": SCHEMA,

@@ -11,12 +11,14 @@ claimed Hilbert function and regularity, packaged as certificates:
 * ideal_graft splices the low degrees of one quotient onto the high
   degrees of another, by building the ghl slice of the spliced function.
 
-Both slice builders take the growth classes from an ideal and the height
-classes from the target function (borel.ghl_set, borel.slice_heights),
-and saturate the slice once.
+expanded_lifting reads the growth classes of its slice off the lifted
+ideal; ideal_graft and witness_min_reg read them off the target's tail
+(borel.ghl_ideal).  All three take the height classes from the target
+function and saturate the slice once.
 
-witness_min_reg chains expanded liftings along the derivative tower of
-the target function and realizes the minimal regularity in its class.
+witness_min_reg builds the ghl slice of the target function at the least
+regularity that the descent of the regularity module computes, and so
+realizes the minimal regularity in its class.
 The builders check only what they achieve.  verify_witness, the one check
 on an ideal, runs once per public certificate (as witness_min_reg returns
 it, or as `minreg verify` reads it): minimality, stability, saturation
@@ -29,17 +31,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .borel import (BorelSet, StronglyStableIdeal, artinian_lex_ideal,
-                    artinian_lift, degrevlex_key, divides, ghl_set, lex_key,
-                    lgh, saturate_slice, slice_heights, term_string)
+from .borel import (BorelSet, StronglyStableIdeal, artinian_lift,
+                    degrevlex_key, divides, ghl_ideal, ghl_set, lex_key, lgh,
+                    saturate_slice, slice_heights, term_string)
 from .errors import (InputError, InternalInconsistency, LinearVariety,
                      NoRemovableTerm, NotSchemeHF, PreconditionViolation,
                      VerificationFailure)
-from .functions import (HilbertFunction, descent_step, is_scheme_function,
+from .functions import (HilbertFunction, is_scheme_function,
                         parse_hilbert_function)
 from .polynomials import AdmissiblePolynomial
+from .regularity import min_regularity_of_function
 
 
 @dataclass(frozen=True)
@@ -317,9 +319,6 @@ def ideal_graft(Iq: StronglyStableIdeal, Iw: StronglyStableIdeal,
         raise PreconditionViolation("graft degree must exceed 1")
     if not (Iq.is_saturated and Iw.is_saturated):
         raise PreconditionViolation("graft needs saturated ideals")
-    nvars = max(Iq.nvars, Iw.nvars)
-    if Iq.nvars < nvars:
-        Iq = Iq.extended(nvars)
     q = Iq.hilbert_function()
     w = Iw.hilbert_function()
     if not (w(m - 1) == q(m - 1) and w(m - 2) <= q(m - 2)):
@@ -328,9 +327,7 @@ def ideal_graft(Iq: StronglyStableIdeal, Iw: StronglyStableIdeal,
             " got w=%s q=%s m=%d" % (w, q, m))
     target = _spliced(w, q, m)
     s = max(m, Iq.regularity)
-    grafted = saturate_slice(ghl_set(nvars, s,
-                                     Iq.degree_slice(s).growth_vector(),
-                                     slice_heights(target, s, nvars)))
+    grafted = ghl_ideal(target, s, max(Iq.nvars, Iw.nvars))
     achieved = grafted.hilbert_function()
     if achieved != target:
         raise InternalInconsistency(
@@ -347,51 +344,30 @@ def witness_min_reg(u: HilbertFunction) -> WitnessCertificate:
     """A verified ideal whose quotient has Hilbert function u and the least
     regularity among all subschemes with that function.
 
-    Walks down the derivative tower: each level lifts a minimal witness of
-    the least minimal function fitting under the first difference, and the
-    tower bottoms out at an artinian lex ideal.  The levels check what they
-    achieve; the certificate is verified once, as it leaves."""
-    certificate = _witness(u)
-    report = verify_witness(certificate)
-    if not report:
-        raise VerificationFailure(
-            "witness for %s failed verification: %s" % (u, report))
-    return certificate
-
-
-@lru_cache(maxsize=None)
-def _witness(u: HilbertFunction) -> WitnessCertificate:
-    """witness_min_reg's certificate, before its verification."""
+    The descent (regularity.min_regularity_of_function) gives that least
+    regularity m.  The paper reaches it by expanded liftings down the
+    derivative tower, and each lifting's output is the ghl slice of its
+    target at its working degree: the tail fixes the growth classes and
+    the function the height classes.  So the witness is ghl_ideal(u, m,
+    u(1)), built in one step.  Its certificate is verified once, as it
+    leaves."""
     if not is_scheme_function(u):
         raise NotSchemeHF("%s is not the Hilbert function of a"
                           " subscheme" % u)
     p = u.tail
     if p is None or p.gotzmann_number < 2:
         raise LinearVariety("%s describes a linear variety" % u)
-    rho = u.regularity
-
-    if p.degree == 0:
-        base = artinian_lex_ideal(u.delta())
-        log = ("artinian lex base in %d variables" % base.nvars,)
-        return WitnessCertificate(artinian_lift(base), u, rho + 1, log)
-    fit, section_function = descent_step(u)
-    dp = section_function.tail
-    if dp.gotzmann_number == 1:
-        # dp is C(z+k, k), the polynomial of a linear space, which is
-        # cut out by the zero ideal in k+1 variables
-        W = StronglyStableIdeal(dp.degree + 1, frozenset())
-        section_log = ("linear section in %d variables" % W.nvars,)
-    else:
-        section = _witness(section_function)
-        W, section_log = section.ideal, section.log
-    ambient = u(1) - 1
-    if W.nvars > ambient:
-        raise InternalInconsistency(
-            "section witness needs %d variables, only %d available"
-            % (W.nvars, ambient))
-    if W.nvars < ambient:
-        W = W.extended(ambient)
-    lifted = expanded_lifting(u, W)
-    log = section_log + ("section fitted at regularity %d" % fit,) \
-        + lifted.log
-    return WitnessCertificate(lifted.ideal, u, lifted.regularity, log)
+    descent = min_regularity_of_function(u)
+    m, nvars = descent.regularity, u(1)
+    log = tuple("descent at %s: rho_used %d, rho_fit %s, regularity %d"
+                % (row.polynomial, row.rho_used,
+                   "-" if row.rho_fit is None else row.rho_fit,
+                   row.regularity)
+                for row in descent.rows)
+    log += ("ghl slice of degree %d in %d variables" % (m, nvars),)
+    certificate = WitnessCertificate(ghl_ideal(u, m, nvars), u, m, log)
+    report = verify_witness(certificate)
+    if not report:
+        raise VerificationFailure(
+            "witness for %s failed verification: %s" % (u, report))
+    return certificate

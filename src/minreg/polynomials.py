@@ -205,6 +205,23 @@ def slice_tail(growth, degree: int):
     return AdmissiblePolynomial(coordinates) if coordinates else None
 
 
+def slice_growth(p, degree: int, nvars: int):
+    """The growth vector that slice_tail maps to p (None the zero
+    polynomial) in nvars variables.  Class i reaches the coordinates on
+    B_0..B_i only, with 1 on B_i, so the sizes are solved from the top
+    coordinate down.
+    """
+    coordinates = p.coordinates if p is not None else ()
+    growth = [0] * nvars
+    for j in range(nvars - 1, -1, -1):
+        size = (j == nvars - 1) - (coordinates[j] if j < len(coordinates)
+                                   else 0)
+        for i in range(j + 1, nvars):
+            size -= (-1) ** (i - j) * growth[i] * math.comb(degree, i - j)
+        growth[j] = size
+    return tuple(growth)
+
+
 # ---------------------------------------------------------------------------
 # parsing
 

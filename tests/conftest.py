@@ -8,6 +8,11 @@ ideal() builds the hand-written fixture ideals.  StronglyStableIdeal
 trusts its caller, so ideal() checks each fixture by raw divisibility
 first.  reference_verify() is the scan verifier that
 constructions.verify_witness must agree with, check for check.
+reference_witness() is the paper's chain of expanded liftings down the
+derivative tower, from an artinian lex base, whose ideal
+constructions.witness_min_reg must build in one step.
+sweep_classes() reads the benchmark's sweep of fixture classes, each
+with its stored certificate.
 values(), partial_sums() and interpolate() are used by tests only.
 poly_add, poly_sub, poly_scale, poly_mul, poly_eval and poly_shift_arg
 work on ascending monomial coefficients, which the program only parses
@@ -15,15 +20,28 @@ and prints, and poly_nonnegative_from() is the forward-difference scan on
 them that AdmissiblePolynomial.at_least_from must agree with.
 """
 
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
-from minreg.borel import StronglyStableIdeal, monomial_basis
-from minreg.constructions import VerificationReport
+from minreg.binomials import binom
+from minreg.borel import StronglyStableIdeal, artinian_lift, monomial_basis
+from minreg.constructions import (VerificationReport, WitnessCertificate,
+                                  expanded_lifting)
 from minreg.errors import InternalInconsistency, NotAdmissible
-from minreg.functions import HilbertFunction
+from minreg.functions import HilbertFunction, descent_step
 from minreg.polynomials import polynomial_from_coefficients
+
+
+SWEEP = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                     "bench", "data", "sweep.json")
+
+
+def sweep_classes():
+    with open(SWEEP, encoding="utf-8") as handle:
+        return json.load(handle)["classes"]
 
 
 def _divides(a, b):
@@ -94,6 +112,60 @@ def reference_verify(certificate):
             break
     checks.append(("hilbert function by enumeration", enumerated))
     return VerificationReport(tuple(checks))
+
+
+def artinian_lex_ideal(h):
+    """Lex ideal with finite quotient function h, in h(1) variables: its
+    degree-t slice is the lex-first C(t+n-1, n-1) - h(t) terms, and its
+    generators are the slice terms that no term of the slice one degree
+    lower divides."""
+    nvars = h(1)
+    gens, previous = [], set()
+    for t in range(1, h.regularity + 1):
+        size = binom(t + nvars - 1, nvars - 1) - h(t)
+        current = set(monomial_basis(nvars, t)[:size])
+        gens.extend(c for c in current
+                    if not any(_divides(b, c) for b in previous))
+        previous = current
+    return StronglyStableIdeal(nvars, frozenset(gens))
+
+
+def extended(J, nvars):
+    """J in a ring with extra top variables, which join its generators, so
+    the quotient keeps its Hilbert function."""
+    pad = (0,) * (nvars - J.nvars)
+    units = [tuple(int(i == k) for i in range(nvars))
+             for k in range(J.nvars, nvars)]
+    return StronglyStableIdeal(
+        nvars, frozenset([g + pad for g in J.generators] + units))
+
+
+def reference_witness(u):
+    """The minimal witness of the scheme function u by the paper's chain:
+    lift a witness of the minimal function that the descent fits under
+    the difference of u (the zero ideal for a linear space), bottoming
+    out at the artinian lex ideal of the difference of a constant-tailed
+    function.  Unverified; the log is the levels' logs, bottom first."""
+    if u.tail.degree == 0:
+        base = artinian_lex_ideal(u.delta())
+        return WitnessCertificate(artinian_lift(base), u, u.regularity + 1,
+                                  ("artinian lex base in %d variables"
+                                   % base.nvars,))
+    fit, section_function = descent_step(u)
+    dp = section_function.tail
+    if dp.gotzmann_number == 1:
+        # C(z+k, k) is cut out by the zero ideal in k+1 variables
+        W = StronglyStableIdeal(dp.degree + 1, frozenset())
+        section_log = ("linear section in %d variables" % W.nvars,)
+    else:
+        section = reference_witness(section_function)
+        W, section_log = section.ideal, section.log
+    if W.nvars < u(1) - 1:
+        W = extended(W, u(1) - 1)
+    lifted = expanded_lifting(u, W)
+    log = section_log + ("section fitted at regularity %d" % fit,) \
+        + lifted.log
+    return WitnessCertificate(lifted.ideal, u, lifted.regularity, log)
 
 
 def _trim(coeffs):

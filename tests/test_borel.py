@@ -5,15 +5,16 @@ import random
 import pytest
 
 from minreg.binomials import binom
-from minreg.borel import (BorelSet, StronglyStableIdeal, artinian_lex_ideal,
-                          artinian_lift, borel_leq, degrevlex_key, deglex_key,
-                          divides, lex_key, lex_segment_ideal, lgh, min_index,
-                          monomial_basis, saturate_slice, term_string)
-from minreg.errors import DegreeMismatch, InternalInconsistency, NotSaturated
+from minreg.borel import (BorelSet, StronglyStableIdeal, artinian_lift,
+                          borel_leq, degrevlex_key, deglex_key, divides,
+                          ghl_ideal, lex_key, lex_segment_ideal, lgh,
+                          min_index, monomial_basis, saturate_slice,
+                          term_string)
+from minreg.errors import DegreeMismatch, NotSaturated
 from minreg.functions import HilbertFunction, minimal_function
 from minreg.polynomials import parse_polynomial
 
-from conftest import ideal, partial_sums
+from conftest import artinian_lex_ideal, ideal, partial_sums
 
 
 def brute_quotient_dimension(J, t):
@@ -286,13 +287,6 @@ def test_truncation():
     assert not cut.contains((0, 0, 5, 0, 0))
 
 
-def test_extension():
-    line = ideal(2, (0, 1))
-    grown = line.extended(3)
-    assert grown == ideal(3, (0, 1, 0), (0, 0, 1))
-    assert grown.hilbert_function() == line.hilbert_function()
-
-
 def test_artinian_lift():
     lifted = artinian_lift(POINTS15)
     assert lifted.nvars == 5
@@ -318,6 +312,10 @@ def test_lex_segment_ideal(text, reg):
     assert L.is_saturated
     assert L.regularity == reg == p.gotzmann_number
     assert L.hilbert_function() == minimal_function(p, reg - 1)
+    # the saturation of the lex-first terms of the degree-r slice
+    size = binom(reg + L.nvars - 1, L.nvars - 1) - p(reg)
+    assert L == saturate_slice(BorelSet(
+        L.nvars, reg, frozenset(monomial_basis(L.nvars, reg)[:size])))
 
 
 def test_lex_segment_ideal_of_constants_lives_on_a_line():
@@ -327,17 +325,20 @@ def test_lex_segment_ideal_of_constants_lives_on_a_line():
 
 
 def test_artinian_lex_ideal():
-    A = artinian_lex_ideal(HilbertFunction((1, 2, 2, 2, 2, 2, 1), None))
-    assert A == ideal(2, (0, 2), (5, 1), (7, 0))
-    assert A.regularity == 7
-    staircase = artinian_lex_ideal(HilbertFunction((1, 2, 3, 4, 5), None))
-    assert staircase == ideal(2, (0, 5), (1, 4), (2, 3), (3, 2), (4, 1),
-                              (5, 0))
-    with pytest.raises(InternalInconsistency):
-        artinian_lex_ideal(HilbertFunction((1, 2), parse_polynomial("2")))
+    # the reference base of the lifting chain, and the ghl slice of the
+    # running sums builds its lift
+    h = HilbertFunction((1, 2, 2, 2, 2, 2, 1), None)
+    A = ideal(2, (0, 2), (5, 1), (7, 0))
+    assert artinian_lex_ideal(h) == A
+    assert ghl_ideal(partial_sums(h), 7, 3) == artinian_lift(A)
+    staircase = HilbertFunction((1, 2, 3, 4, 5), None)
+    S = ideal(2, (0, 5), (1, 4), (2, 3), (3, 2), (4, 1), (5, 0))
+    assert artinian_lex_ideal(staircase) == S
+    assert ghl_ideal(partial_sums(staircase), 5, 3) == artinian_lift(S)
 
 
 def test_artinian_lex_ideal_lifts_to_its_running_sums():
     h = HilbertFunction((1, 2, 2, 2, 2, 2, 1), None)
-    lifted = artinian_lift(artinian_lex_ideal(h))
+    lifted = ghl_ideal(partial_sums(h), 7, 3)
+    assert lifted == artinian_lift(artinian_lex_ideal(h))
     assert lifted.hilbert_function() == partial_sums(h)

@@ -120,6 +120,36 @@ def test_bugs_exit_three(capsys, monkeypatch):
                                             "message": "broken on purpose"}
 
 
+def test_unreadable_and_unwritable_files_exit_two(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "verify", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read ")
+    code, out, _ = run(capsys, "verify", str(missing), "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "InputError"
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "verify", str(binary))
+    assert (code, out) == (2, "")
+    assert "is not JSON" in err
+    unwritable = tmp_path / "no-such-directory" / "cert.json"
+    code, out, err = run(capsys, "witness", "5z-3", "-o", str(unwritable))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ")
+
+
+def test_other_os_errors_are_bugs(capsys, monkeypatch):
+    # only the certificate read and the -o write are input errors; an
+    # OSError from anywhere else, a TimeoutError included, is a bug
+    for error in (OSError, TimeoutError):
+        def broken(*args, error=error):
+            raise error("broken on purpose")
+        monkeypatch.setattr(minreg.cli, "witness_min_reg", broken)
+        code, out, err = run(capsys, "witness", "5z-3")
+        assert (code, out, err) == (3, "", "error: broken on purpose\n")
+
+
 def test_interrupts_are_not_caught(capsys, monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt

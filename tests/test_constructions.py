@@ -1,22 +1,25 @@
 """Tests for the witness constructions and their verifier."""
 
 import pytest
+from hypothesis import given, settings
 
-from minreg import constructions
 from minreg.borel import (BorelSet, StronglyStableIdeal, artinian_lift,
                           degrevlex_key, lgh, saturate_slice)
-from minreg.constructions import (WitnessCertificate, expanded_lifting,
-                                  ideal_graft, remove_minimal_term,
-                                  verify_witness, witness_min_reg)
+from minreg.constructions import (WitnessCertificate, certificate_from_dict,
+                                  expanded_lifting, ideal_graft,
+                                  remove_minimal_term, verify_witness,
+                                  witness_min_reg)
 from minreg.errors import (LinearVariety, NoRemovableTerm, NotSchemeHF,
                            PreconditionViolation)
 from minreg.functions import (minimal_function, minimal_function_exact,
                               minimal_scheme_function, min_scheme_regularity,
                               parse_hilbert_function)
-from minreg.polynomials import parse_polynomial
-from minreg.regularity import min_regularity_at
+from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
+from minreg.regularity import min_regularity, min_regularity_at
 
-from conftest import ideal
+import conftest
+from conftest import ideal, reference_witness, sweep_classes
+from test_polynomials import _from_writing, writings
 
 
 def poly(text):
@@ -82,11 +85,9 @@ def test_expanded_lifting_matches_the_stepwise_removals(monkeypatch):
         calls.append((f, Jz, cert.ideal))
         return cert
 
-    monkeypatch.setattr(constructions, "expanded_lifting", recorded)
-    constructions._witness.cache_clear()
+    monkeypatch.setattr(conftest, "expanded_lifting", recorded)
     for text, rho, _ in WITNESS_TABLE:
-        witness_min_reg(minimal_scheme_function(poly(text), rho))
-    constructions._witness.cache_clear()
+        reference_witness(minimal_scheme_function(poly(text), rho))
     assert len(calls) >= len(WITNESS_TABLE)
     for f, Jz, lifted in calls:
         assert lifted == stepwise_lifting(f, Jz), f
@@ -225,17 +226,38 @@ def test_witnesses_hit_the_computed_minimum(text, rho, expected):
     assert verify_witness(cert).ok
 
 
-def test_witness_certificates_are_cached():
-    u = minimal_function(poly("2z+2"), 1)
-    assert witness_min_reg(u) is witness_min_reg(u)
+def test_witness_is_the_end_of_the_lifting_chain():
+    functions = [minimal_scheme_function(poly(text), rho)
+                 for text, rho, _ in WITNESS_TABLE]
+    functions += [hf(cls["function"]) for cls in sweep_classes()]
+    assert len(functions) == len(WITNESS_TABLE) + 50
+    for u in functions:
+        reference = reference_witness(u)
+        cert = witness_min_reg(u)
+        assert cert.ideal == reference.ideal, u
+        assert cert.regularity == reference.regularity, u
+
+
+@settings(max_examples=40, deadline=None)
+@given(writings)
+def test_random_witnesses(writing):
+    p = polynomial_from_coefficients(_from_writing(writing))
+    u = minimal_scheme_function(p, min_scheme_regularity(p))
+    cert = witness_min_reg(u)
+    assert cert.ideal == reference_witness(u).ideal
+    assert cert.regularity == min_regularity(p).regularity
+    assert certificate_from_dict(cert.as_dict()) == cert
 
 
 def test_witness_of_exact_function_needs_more_removals():
     g7 = minimal_function_exact(poly("12z-25"), 7)
-    cert = witness_min_reg(g7)
-    removals = [line for line in cert.log if line.startswith("removed")]
+    reference = reference_witness(g7)
+    removals = [line for line in reference.log if line.startswith("removed")]
     assert len(removals) == 5
+    cert = witness_min_reg(g7)
+    assert cert.ideal == reference.ideal
     assert cert.regularity == 9
+    assert cert.log[-1] == "ghl slice of degree 9 in 4 variables"
 
 
 def test_witness_rejects_bad_functions():
@@ -255,7 +277,9 @@ def test_witness_builds_linear_sections():
         assert verify_witness(cert).ok, text
         assert cert.regularity == min_regularity_at(
             p, min_scheme_regularity(p)).regularity, text
-        assert cert.log[0].startswith("linear section"), text
+        reference = reference_witness(u)
+        assert reference.log[0].startswith("linear section"), text
+        assert cert.ideal == reference.ideal, text
 
 
 def test_witness_monotone_in_rho():

@@ -5,7 +5,8 @@ reconstruction (the defining identity), large ones through the structural
 fact that differencing shifts every summand down one degree.  Random
 Gotzmann writings check the coordinates against the printed coefficients,
 and the nonnegativity scan is checked against the monomial-basis
-reference scan in conftest.
+reference scan in conftest.  slice_growth is checked as the inverse of
+slice_tail on every small growth vector.
 """
 
 from fractions import Fraction
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from minreg.errors import LinearVariety, NotAdmissible, ParseError
 from minreg.polynomials import (AdmissiblePolynomial, binomial_coeffs,
                                 parse_coefficients, parse_polynomial,
-                                polynomial_from_coefficients)
+                                polynomial_from_coefficients, slice_growth,
+                                slice_tail)
 
 from conftest import (interpolate, poly_add, poly_eval, poly_nonnegative_from,
                       poly_scale, poly_sub)
@@ -302,3 +304,14 @@ def test_nonnegativity_on_a_grid():
             for start in range(6):
                 assert p.at_least_from(None, start) == \
                     poly_nonnegative_from(coeffs, start), (coords, start)
+
+
+def test_slice_growth_inverts_slice_tail():
+    """Every growth vector with class sizes 0..3 in at most five
+    variables, at every slice degree up to 5."""
+    for nvars in range(1, 6):
+        for growth in product(range(4), repeat=nvars):
+            for degree in range(6):
+                tail = slice_tail(growth, degree)
+                assert slice_growth(tail, degree, nvars) == growth, \
+                    (growth, degree)

@@ -2,7 +2,6 @@
 reference: both must give the same report, check for check."""
 
 import json
-import os
 import random
 import signal
 from contextlib import contextmanager
@@ -18,16 +17,13 @@ from minreg.functions import (HilbertFunction, min_scheme_regularity,
                               minimal_scheme_function, parse_hilbert_function)
 from minreg.polynomials import parse_polynomial
 
-from conftest import reference_verify
+from conftest import reference_verify, sweep_classes
 
-SWEEP = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                     "bench", "data", "sweep.json")
 KINDS = ("stored", "drop", "raise", "value", "regularity")
 
 
 def sweep_certificates():
-    with open(SWEEP, encoding="utf-8") as handle:
-        return [cls["certificate"] for cls in json.load(handle)["classes"]]
+    return [cls["certificate"] for cls in sweep_classes()]
 
 
 def tampered(rng, payload, kind):
@@ -90,10 +86,15 @@ def test_verifier_matches_the_reference_on_random_generators(
     assert verify_witness(cert).checks == reference_verify(cert).checks
 
 
+class OverBudget(BaseException):
+    """Not an Exception, so that cli.main's handlers let it through and
+    the test fails instead of reading an exit code."""
+
+
 @contextmanager
 def budget(seconds):
     def expire(signum, frame):
-        raise TimeoutError("ran past its %d s budget" % seconds)
+        raise OverBudget("ran past its %d s budget" % seconds)
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
