@@ -26,24 +26,13 @@ class BinomialExpansion:
     Represents a = C(k_t, t) + C(k_{t-1}, t-1) + ... + C(k_j, j) where
     base = t, tops = (k_t, k_{t-1}, ..., k_j), the tops strictly decrease,
     each top is at least its index, and the indices run consecutively down
-    to j >= 1.  With those constraints the writing is unique.
+    to j >= 1.  With those constraints the writing is unique.  A trusted
+    record: only the greedy macaulay_expand builds one, and nothing
+    re-checks the shape on construction.
     """
 
     base: int
     tops: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.base < 1 or not self.tops:
-            raise ValueError("expansion needs base >= 1 and at least one term")
-        previous = None
-        for k, i in zip(self.tops, self.indices()):
-            if i < 1:
-                raise ValueError("indices must stay positive")
-            if k < i:
-                raise ValueError("top %d below its index %d" % (k, i))
-            if previous is not None and k >= previous:
-                raise ValueError("tops must strictly decrease")
-            previous = k
 
     @property
     def lowest_index(self) -> int:

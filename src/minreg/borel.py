@@ -9,19 +9,19 @@ monomial ideal whose every slice is Borel is strongly stable.
 The least variable x0 plays the role of the saturation variable: stripping
 x0 from the minimal generators of a strongly stable ideal produces its
 saturation, and the maximal degree of the minimal generators equals the
-Castelnuovo-Mumford regularity.  The Hilbert function of a saturated
-quotient is read off any slice at or beyond the regularity from two
-partitions of the slice: the height classes (by x0-exponent) give the
-values below the slice degree, the growth classes (by least variable
-present) give the polynomial tail.
+Castelnuovo-Mumford regularity.  The Hilbert function of the quotient
+is read off the generators: each member is g*w for exactly one minimal
+generator g and a term w in x0..x_{min_index(g)} (Eliahou-Kervaire).
 
-A growth-height-lexicographic (ghl) set takes the lex-first terms of
-every class, so ghl_set() builds it from the class sizes alone, and the
-normal form lgh() rearranges a Borel set into it without changing either
-partition's sizes.  slice_heights() reads the height classes back from a
-Hilbert function and polynomials.slice_growth() the growth classes from
-its tail, so ghl_ideal() builds the witnesses, grafts and lex segments
-from the function they want and saturates the slice once.
+A slice is split into height classes (by x0-exponent) and growth
+classes (by least variable present).  A growth-height-lexicographic
+(ghl) set takes the lex-first terms of every class, so ghl_set() builds
+it from the class sizes alone, and the normal form lgh() rearranges a
+Borel set into it without changing either partition's sizes.
+slice_heights() reads the height classes back from a Hilbert function
+and polynomials.slice_growth() the growth classes from its tail, so
+ghl_slice() builds the slice a function asks for, and ghl_ideal() the
+witnesses, grafts and lex segments, saturating it once.
 
 BorelSet and StronglyStableIdeal are plain records that trust their
 callers: every builder here yields a raising-closed set, and an ideal by
@@ -32,14 +32,15 @@ constructions.verify_witness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import combinations_with_replacement, islice
 
 from .binomials import binom
 from .errors import (DegreeMismatch, InternalInconsistency, LinearVariety,
                      NotSaturated)
 from .functions import HilbertFunction, minimal_function
-from .polynomials import AdmissiblePolynomial, slice_growth, slice_tail
+from .polynomials import AdmissiblePolynomial, quotient_tail, slice_growth
 
 Term = tuple
 
@@ -54,6 +55,12 @@ def min_index(term):
         if e > 0:
             return i
     return None
+
+
+def ek_index(term):
+    """Eliahou-Kervaire index: min_index, or n for the unit term."""
+    i = min_index(term)
+    return len(term) - 1 if i is None else i
 
 
 def lex_key(term):
@@ -83,27 +90,22 @@ def term_string(term) -> str:
     return "*".join(pieces) if pieces else "1"
 
 
-@lru_cache(maxsize=None)
+def basis_size(nvars: int, degree: int) -> int:
+    """Number of degree-d terms in nvars variables."""
+    return binom(degree + nvars - 1, degree) if nvars else int(degree == 0)
+
+
 def monomial_basis(nvars: int, degree: int):
-    """All degree-d terms in nvars variables, lex-descending."""
+    """All degree-d terms in nvars variables, lex-descending, generated
+    lazily from the multisets of variable indices taken top first."""
     if degree < 0:
-        return ()
-    if nvars == 0:
-        return ((),) if degree == 0 else ()
-    if nvars == 1:
-        return ((degree,),)
-    terms = []
-
-    def fill(position, remaining, partial):
-        if position == nvars - 1:
-            terms.append(tuple(partial + [remaining]))
-            return
-        for e in range(remaining + 1):
-            fill(position + 1, remaining - e, partial + [e])
-
-    fill(0, degree, [])
-    terms.sort(key=lex_key, reverse=True)
-    return tuple(terms)
+        return
+    for indices in combinations_with_replacement(range(nvars - 1, -1, -1),
+                                                 degree):
+        term = [0] * nvars
+        for i in indices:
+            term[i] += 1
+        yield tuple(term)
 
 
 def borel_leq(a, b) -> bool:
@@ -183,21 +185,24 @@ def ghl_set(nvars: int, degree: int, growth, heights) -> BorelSet:
     for i >= 1 and the lex-first heights[j] terms with x0-exponent j for
     j >= 1; growth[0] and heights[0] follow from the others.  Class i is
     x_i times the terms in x_i..x_n of degree s - 1, class j is x0^j
-    times the terms in x1..x_n of degree s - j, both in lex order.
+    times the terms in x1..x_n of degree s - j, both generated in lex
+    order up to the last kept term.
     """
-    classes = [("growth", i, growth[i],
-                [(0,) * i + (t[0] + 1,) + t[1:]
-                 for t in monomial_basis(nvars - i, degree - 1)])
-               for i in range(1, nvars)]
-    classes += [("height", j, heights[j],
-                 [(j,) + t for t in monomial_basis(nvars - 1, degree - j)])
-                for j in range(1, degree + 1)]
     picked = []
-    for name, index, size, cls in classes:
-        if not 0 <= size <= len(cls):
+
+    def take(name, index, size, length, cls):
+        if not 0 <= size <= length:
             raise InternalInconsistency("%s class %d wants %d of %d terms"
-                                        % (name, index, size, len(cls)))
-        picked.extend(cls[:size])
+                                        % (name, index, size, length))
+        picked.extend(islice(cls, size))
+
+    for i in range(1, nvars):
+        take("growth", i, growth[i], basis_size(nvars - i, degree - 1),
+             ((0,) * i + (t[0] + 1,) + t[1:]
+              for t in monomial_basis(nvars - i, degree - 1)))
+    for j in range(1, degree + 1):
+        take("height", j, heights[j], basis_size(nvars - 1, degree - j),
+             ((j,) + t for t in monomial_basis(nvars - 1, degree - j)))
     return BorelSet(nvars, degree, frozenset(picked))
 
 
@@ -249,14 +254,14 @@ class StronglyStableIdeal:
         return any(divides(g, term) for g in self.generators)
 
     def degree_slice(self, t: int) -> BorelSet:
-        """All degree-t members, as a Borel set."""
-        members = set()
+        """All degree-t members, as a Borel set, each listed once as g*w,
+        w in x0..x_{ek_index(g)}."""
+        members = []
         for gen in self.generators:
-            room = t - term_degree(gen)
-            if room < 0:
-                continue
-            for extra in monomial_basis(self.nvars, room):
-                members.add(tuple(a + b for a, b in zip(gen, extra)))
+            i = ek_index(gen)
+            for w in monomial_basis(i + 1, t - term_degree(gen)):
+                members.append(tuple(a + b for a, b in zip(w, gen))
+                               + gen[i + 1:])
         return BorelSet(self.nvars, t, frozenset(members))
 
     def saturation(self) -> "StronglyStableIdeal":
@@ -266,23 +271,21 @@ class StronglyStableIdeal:
         return StronglyStableIdeal(self.nvars, _minimalize(stripped))
 
     def hilbert_function(self) -> HilbertFunction:
-        """Hilbert function of the saturated quotient.
-
-        Reads the height classes of the slice at the regularity for the
-        finite values and the growth classes for the polynomial tail.
-        """
+        """Hilbert function of the saturated quotient: a generator of
+        degree d and ek_index i has C(t-d+i, i) multiples g*w of degree t,
+        so h(t) = C(t+n, n) - the sum of those, and quotient_tail sums
+        the same binomials as polynomials."""
         if not self.is_saturated:
             raise NotSaturated("saturate before asking for the"
                                " Hilbert function")
-        n = self.nvars - 1
-        t = max(self.regularity, 1)
-        B = self.degree_slice(t)
-        hv = B.height_vector()
-        gv = B.growth_vector()
-        prefix = []
-        for j in range(t):
-            prefix.append(binom(j + n, n) - sum(hv[t - j:]))
-        return HilbertFunction(tuple(prefix), slice_tail(gv, t))
+        classes = Counter((ek_index(g), term_degree(g))
+                          for g in self.generators)
+        prefix = [basis_size(self.nvars, t)
+                  - sum(count * basis_size(i + 1, t - d)
+                        for (i, d), count in classes.items())
+                  for t in range(self.regularity)]
+        return HilbertFunction(tuple(prefix),
+                               quotient_tail(classes, self.nvars))
 
     def __str__(self):
         inside = ", ".join(term_string(g) for g in self.sorted_generators())
@@ -330,19 +333,21 @@ def saturate_slice(B: BorelSet) -> StronglyStableIdeal:
     return StronglyStableIdeal(B.nvars, frozenset(gens))
 
 
+def ghl_slice(f: HilbertFunction, degree: int, nvars: int) -> BorelSet:
+    """The ghl set of degree s = `degree` in nvars variables with the
+    growth classes of f's tail (slice_growth) and the height classes of
+    its values (slice_heights).  When a saturated strongly stable ideal
+    J generated in degree <= s has quotient function f, this is lgh of
+    J's degree-s slice, as both have J's class sizes."""
+    return ghl_set(nvars, degree, slice_growth(f.tail, degree, nvars),
+                   slice_heights(f, degree, nvars))
+
+
 def ghl_ideal(f: HilbertFunction, degree: int,
               nvars: int) -> StronglyStableIdeal:
-    """The saturation of the ghl set of degree s = `degree` in nvars
-    variables whose class sizes fit the function f: the growth classes
-    come from its tail (slice_growth) and the height classes from its
-    values (slice_heights).  When a saturated strongly stable ideal J
-    generated in degree <= s has quotient function f, the set is lgh of
-    J's degree-s slice, as both have J's class sizes, so this ideal has
-    quotient function f too.
-    """
-    return saturate_slice(ghl_set(nvars, degree,
-                                  slice_growth(f.tail, degree, nvars),
-                                  slice_heights(f, degree, nvars)))
+    """The saturation of ghl_slice(f, degree, nvars), which has quotient
+    function f when some J as there does."""
+    return saturate_slice(ghl_slice(f, degree, nvars))
 
 
 def artinian_lift(A: StronglyStableIdeal) -> StronglyStableIdeal:

@@ -12,9 +12,9 @@ claimed Hilbert function and regularity, packaged as certificates:
   degrees of another, by building the ghl slice of the spliced function.
 
 expanded_lifting reads the growth classes of its slice off the lifted
-ideal; ideal_graft and witness_min_reg read them off the target's tail
-(borel.ghl_ideal).  All three take the height classes from the target
-function and saturate the slice once.
+ideal's tail (borel.ghl_slice); ideal_graft and witness_min_reg read
+them off the target's (borel.ghl_ideal).  All three take the height
+classes from the target function and saturate the slice once.
 
 witness_min_reg builds the ghl slice of the target function at the least
 regularity that the descent of the regularity module computes, and so
@@ -23,7 +23,7 @@ The builders check only what they achieve.  verify_witness, the one check
 on an ideal, runs once per public certificate (as witness_min_reg returns
 it, or as `minreg verify` reads it): minimality, stability, saturation
 and the regularity by divisibility and, when those hold, the Hilbert
-function by the slice formulas and by walking the standard terms.  The
+function by the generators' classes and by walking the standard terms.  The
 ideal records trust their builders; certificate_from_dict checks shape.
 """
 
@@ -33,8 +33,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .borel import (BorelSet, StronglyStableIdeal, artinian_lift,
-                    degrevlex_key, divides, ghl_ideal, ghl_set, lex_key, lgh,
-                    saturate_slice, slice_heights, term_string)
+                    degrevlex_key, divides, ghl_ideal, ghl_set, ghl_slice,
+                    lex_key, saturate_slice, slice_heights, term_string)
 from .errors import (InputError, InternalInconsistency, LinearVariety,
                      NoRemovableTerm, NotSchemeHF, PreconditionViolation,
                      VerificationFailure)
@@ -152,7 +152,11 @@ def verify_witness(certificate: WitnessCertificate) -> VerificationReport:
     degree t+1 is standard iff it is no generator and every c/x_j is, as
     a generator dividing c properly divides some c/x_j.  Each comes once,
     as (c/x_k)*x_k with x_k its top variable.  A degree stops once it
-    outgrows the claim.
+    outgrows the claim.  The "slice formulas" check is
+    StronglyStableIdeal.hilbert_function, a sum of binomials over the
+    generators by least variable and degree (Eliahou-Kervaire, sound once
+    the structural checks pass), the one piece of the constructions that
+    the verifier calls.
     """
     ideal = certificate.ideal
     gens = ideal.generators
@@ -277,7 +281,7 @@ def expanded_lifting(f: HilbertFunction,
 
     # The lifted slice in ghl form keeps its growth classes, which fix the
     # polynomial; f fixes the height classes.  The terms in between go.
-    start = lgh(lifted.degree_slice(m))
+    start = ghl_slice(lifted.hilbert_function(), m, lifted.nvars)
     heights = slice_heights(f, m, lifted.nvars)
     if min(heights) < 0:
         raise NoRemovableTerm("%s needs more than the %d variables of the"

@@ -187,29 +187,30 @@ class AdmissiblePolynomial:
         return "AdmissiblePolynomial(%r)" % str(self)
 
 
-def slice_tail(growth, degree: int):
-    """Hilbert polynomial of the saturated quotient by an ideal generated
-    in degree at most `degree` whose degree-`degree` slice has growth[i]
-    terms with least variable x_i, in n + 1 = len(growth) variables:
+def quotient_tail(classes, nvars: int):
+    """Hilbert polynomial of the quotient of K[x0, ..., xn], n + 1 =
+    nvars, by a strongly stable ideal with classes[(i, d)] minimal
+    generators of degree d and least variable x_i (x_n for the unit):
 
-        C(z + n, n) - sum_i growth[i] C(z + i - degree, i),
+        C(z + n, n) - sum classes[(i, d)] C(z + i - d, i),
 
-    where C(z + i - t, i) has the coordinate (-1)^m C(t, m) on B_(i-m).
+    where C(z + i - d, i) has the coordinate (-1)^m C(d, m) on B_(i-m).
+    A degree-s slice with growth vector g is classes[(i, s)] = g[i].
     None when it is the zero polynomial.
     """
-    coordinates = [0] * (len(growth) - 1) + [1]
-    for i, size in enumerate(growth):
-        for m in range(min(i, degree) + 1):
-            coordinates[i - m] -= (-1) ** m * size * math.comb(degree, m)
+    coordinates = [0] * (nvars - 1) + [1]
+    for (i, d), size in classes.items():
+        for m in range(min(i, d) + 1):
+            coordinates[i - m] -= (-1) ** m * size * math.comb(d, m)
     coordinates = _trim(coordinates)
     return AdmissiblePolynomial(coordinates) if coordinates else None
 
 
 def slice_growth(p, degree: int, nvars: int):
-    """The growth vector that slice_tail maps to p (None the zero
-    polynomial) in nvars variables.  Class i reaches the coordinates on
-    B_0..B_i only, with 1 on B_i, so the sizes are solved from the top
-    coordinate down.
+    """The growth vector of a degree-s slice, s = degree, in nvars
+    variables whose ideal has quotient_tail p (None the zero
+    polynomial).  Class i reaches the coordinates on B_0..B_i only, with
+    1 on B_i, so the sizes are solved from the top coordinate down.
     """
     coordinates = p.coordinates if p is not None else ()
     growth = [0] * nvars

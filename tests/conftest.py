@@ -123,7 +123,7 @@ def artinian_lex_ideal(h):
     gens, previous = [], set()
     for t in range(1, h.regularity + 1):
         size = binom(t + nvars - 1, nvars - 1) - h(t)
-        current = set(monomial_basis(nvars, t)[:size])
+        current = set(tuple(monomial_basis(nvars, t))[:size])
         gens.extend(c for c in current
                     if not any(_divides(b, c) for b in previous))
         previous = current

@@ -187,7 +187,7 @@ def _raising_closure(term):
 
 
 def _random_borel_set(rng, nvars, degree):
-    basis = monomial_basis(nvars, degree)
+    basis = tuple(monomial_basis(nvars, degree))
     picked = rng.sample(basis, rng.randrange(len(basis) + 1))
     closed = set()
     for term in picked:
@@ -224,7 +224,7 @@ def test_criterion_8_oracle_suites(record_property):
     # (b) the raising order against its move-closure definition
     for nvars in range(2, 6):
         for degree in range(1, 6):
-            basis = monomial_basis(nvars, degree)
+            basis = tuple(monomial_basis(nvars, degree))
             closures = {term: _raising_closure(term) for term in basis}
             for a in basis:
                 for b in basis:

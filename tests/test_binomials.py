@@ -25,12 +25,6 @@ def test_binom_conventions():
 
 
 def test_expansion_constraints_enforced():
-    with pytest.raises(ValueError):
-        BinomialExpansion(3, (2, 4, 1))  # tops must strictly decrease
-    with pytest.raises(ValueError):
-        BinomialExpansion(3, (2,))  # top below its index
-    with pytest.raises(ValueError):
-        BinomialExpansion(2, (5, 3, 1))  # index would drop below 1
     e = BinomialExpansion(3, (5, 3, 1))
     assert e.value() == 10 + 3 + 1
     assert e.lowest_index == 1
@@ -43,7 +37,10 @@ def test_macaulay_expand_defining_properties():
         for a in range(1, 401):
             e = macaulay_expand(a, t)
             assert e.base == t
-            assert e.value() == a  # constructor enforced the shape already
+            assert e.value() == a
+            assert all(k > later for k, later in zip(e.tops, e.tops[1:]))
+            assert all(k >= i for k, i in zip(e.tops, e.indices()))
+            assert e.lowest_index >= 1
 
 
 def test_macaulay_expand_rejects_bad_input():

@@ -1,6 +1,7 @@
 """Tests for Borel sets, strongly stable ideals and the lex normal form."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -15,6 +16,7 @@ from minreg.functions import HilbertFunction, minimal_function
 from minreg.polynomials import parse_polynomial
 
 from conftest import artinian_lex_ideal, ideal, partial_sums
+from test_verifier import budget
 
 
 def brute_quotient_dimension(J, t):
@@ -67,11 +69,21 @@ def test_degrevlex_disagrees_with_deglex():
     assert deglex_key(a) < deglex_key(b)
 
 
+def test_monomial_basis_is_lazy():
+    # C(149, 99) terms in all; the first three come at once
+    with budget(1):
+        first = list(islice(monomial_basis(100, 50), 3))
+    assert first == [(0,) * 99 + (50,), (0,) * 98 + (1, 49),
+                     (0,) * 97 + (1, 0, 49)]
+
+
 def test_monomial_basis_counts():
     for nvars in range(1, 5):
         for degree in range(7):
-            assert len(monomial_basis(nvars, degree)) == binom(
-                degree + nvars - 1, nvars - 1)
+            basis = tuple(monomial_basis(nvars, degree))
+            assert len(basis) == binom(degree + nvars - 1, nvars - 1)
+            assert list(basis) == sorted(set(basis), key=lex_key,
+                                         reverse=True)
 
 
 def test_borel_leq_basics():
@@ -106,7 +118,7 @@ def raising_closure(term):
 
 @pytest.mark.parametrize("nvars,degree", [(2, 4), (3, 3), (4, 3), (4, 4)])
 def test_borel_leq_matches_move_closure(nvars, degree):
-    basis = monomial_basis(nvars, degree)
+    basis = tuple(monomial_basis(nvars, degree))
     for a in basis:
         reachable = raising_closure(a)
         for b in basis:
@@ -180,7 +192,7 @@ def test_lgh_straightens_the_crooked_slice():
 
 def test_lgh_fixes_lex_segments():
     # A lex-segment slice is already in normal form.
-    segment = BorelSet(4, 3, frozenset(monomial_basis(4, 3)[:9]))
+    segment = BorelSet(4, 3, frozenset(tuple(monomial_basis(4, 3))[:9]))
     assert lgh(segment).terms == segment.terms
     B = LIFTED15.degree_slice(5)
     assert lgh(B).terms == B.terms
@@ -194,7 +206,7 @@ def test_lgh_degenerate_inputs():
 
 
 def random_borel_set(rng, nvars, degree):
-    basis = monomial_basis(nvars, degree)
+    basis = tuple(monomial_basis(nvars, degree))
     picked = set(rng.sample(basis, rng.randrange(len(basis) + 1)))
     closed = set()
     for term in picked:
@@ -232,6 +244,11 @@ def test_degree_slice_contents():
     assert top.degree_slice(2).terms == frozenset(
         {(1, 0, 1), (0, 1, 1), (0, 0, 2)})
     assert len(top.degree_slice(0)) == 0
+    for J in (CROOKED, STRAIGHTENED, POINTS15, LIFTED15):
+        for t in range(J.regularity + 2):
+            assert J.degree_slice(t).terms == frozenset(
+                term for term in monomial_basis(J.nvars, t)
+                if J.contains(term)), (J, t)
 
 
 def test_saturation():
@@ -315,7 +332,7 @@ def test_lex_segment_ideal(text, reg):
     # the saturation of the lex-first terms of the degree-r slice
     size = binom(reg + L.nvars - 1, L.nvars - 1) - p(reg)
     assert L == saturate_slice(BorelSet(
-        L.nvars, reg, frozenset(monomial_basis(L.nvars, reg)[:size])))
+        L.nvars, reg, frozenset(tuple(monomial_basis(L.nvars, reg))[:size])))
 
 
 def test_lex_segment_ideal_of_constants_lives_on_a_line():

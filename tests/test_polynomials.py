@@ -6,7 +6,7 @@ fact that differencing shifts every summand down one degree.  Random
 Gotzmann writings check the coordinates against the printed coefficients,
 and the nonnegativity scan is checked against the monomial-basis
 reference scan in conftest.  slice_growth is checked as the inverse of
-slice_tail on every small growth vector.
+quotient_tail, at a single degree, on every small growth vector.
 """
 
 from fractions import Fraction
@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from minreg.errors import LinearVariety, NotAdmissible, ParseError
 from minreg.polynomials import (AdmissiblePolynomial, binomial_coeffs,
                                 parse_coefficients, parse_polynomial,
-                                polynomial_from_coefficients, slice_growth,
-                                slice_tail)
+                                polynomial_from_coefficients, quotient_tail,
+                                slice_growth)
 
 from conftest import (interpolate, poly_add, poly_eval, poly_nonnegative_from,
                       poly_scale, poly_sub)
@@ -312,6 +312,7 @@ def test_slice_growth_inverts_slice_tail():
     for nvars in range(1, 6):
         for growth in product(range(4), repeat=nvars):
             for degree in range(6):
-                tail = slice_tail(growth, degree)
+                tail = quotient_tail({(i, degree): size for i, size
+                                      in enumerate(growth)}, nvars)
                 assert slice_growth(tail, degree, nvars) == growth, \
                     (growth, degree)

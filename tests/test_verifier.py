@@ -9,13 +9,15 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minreg.binomials import binom
 from minreg.borel import StronglyStableIdeal
 from minreg.cli import main
 from minreg.constructions import (WitnessCertificate, certificate_from_dict,
                                   verify_witness, witness_min_reg)
 from minreg.functions import (HilbertFunction, min_scheme_regularity,
                               minimal_scheme_function, parse_hilbert_function)
-from minreg.polynomials import parse_polynomial
+from minreg.polynomials import (binomial_coeffs, parse_polynomial,
+                                polynomial_from_coefficients)
 
 from conftest import reference_verify, sweep_classes
 
@@ -114,6 +116,19 @@ def test_slow_witnesses_end_and_verify(text):
     with budget(8):
         cert = witness_min_reg(u)
     assert cert.hilbert_function == u
+
+
+def test_hilbert_function_is_read_off_the_generators():
+    # The quotient by (x11, x10^30) in 12 variables: counting its degree-30
+    # slice term by term meant C(40, 11), about 2.3 * 10^9, terms.
+    x11, x10_30 = (0,) * 11 + (1,), (0,) * 10 + (30, 0)
+    with budget(2):
+        f = StronglyStableIdeal(12, frozenset({x11, x10_30})
+                                ).hilbert_function()
+    assert f.prefix == tuple(binom(t + 10, 10) for t in range(20))
+    assert f.tail == polynomial_from_coefficients(
+        a - b for a, b in zip(binomial_coeffs(10, 10),
+                              binomial_coeffs(10, -20)))
 
 
 def test_zero_ideal_in_many_variables_is_refused_at_once(tmp_path, capsys):
