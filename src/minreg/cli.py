@@ -10,11 +10,13 @@ the recursion trace table.
 Every subcommand takes --json for a machine-readable document with a
 top-level "schema" field.  Exit codes: 0 success, 1 domain errors (an
 empty class, a linear variety, an ambient space that is too small, a
-failed verification), 2 malformed input (a certificate file that cannot
-be read, or a -o file that cannot be written), 3 a bug
+failed verification), 2 malformed input (a command line the parser
+refuses, a certificate file that cannot be read, or a -o file that
+cannot be written), 3 a bug
 (InternalInconsistency, VerificationFailure, or any other exception, any
 other OSError included), reported like the others: an error document
-under --json, one `error:` line on stderr otherwise.
+under --json, one `error:` line on stderr otherwise (after the usage
+line, for a refused command line).  -h prints the help and returns 0.
 """
 
 from __future__ import annotations
@@ -213,9 +215,25 @@ def cmd_table(args) -> int:
     return 0
 
 
+class UsageError(InputError):
+    """A command line that the parser refuses, with its usage line."""
+
+    def __init__(self, message, usage):
+        super().__init__(message)
+        self.usage = usage
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print its usage and exit 2,
+    so that main reports a refused command line like other bad input."""
+
+    def error(self, message):
+        raise UsageError(message, self.format_usage())
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minreg",
         description="Minimal Castelnuovo-Mumford regularity of projective"
                     " schemes with a given Hilbert polynomial, with"
@@ -297,19 +315,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(exc, json_mode: bool) -> int:
+    if json_mode:
+        print(json.dumps({"schema": SCHEMA,
+                          "error": {"code": type(exc).__name__,
+                                    "message": str(exc)}},
+                         indent=2, sort_keys=True))
+    else:
+        print("error: %s" % exc, file=sys.stderr)
+    return exc.exit_code if isinstance(exc, MinregError) else 3
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        # No parsed flags to read --json from, so the words decide.
+        json_mode = "--json" in argv
+        if not json_mode:
+            sys.stderr.write(exc.usage)
+        return _report(exc, json_mode)
+    except SystemExit as exc:  # -h printed the help
+        return exc.code
     try:
         return args.handler(args)
     except Exception as exc:  # not BaseException: interrupts get through
-        if _json_mode(args):
-            print(json.dumps({"schema": SCHEMA,
-                              "error": {"code": type(exc).__name__,
-                                        "message": str(exc)}},
-                             indent=2, sort_keys=True))
-        else:
-            print("error: %s" % exc, file=sys.stderr)
-        return exc.exit_code if isinstance(exc, MinregError) else 3
+        return _report(exc, _json_mode(args))
 
 
 def entrypoint():

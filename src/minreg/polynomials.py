@@ -16,7 +16,8 @@ for k >= 1, a_k = (nabla^k p)(-1), nabla the backward difference: p is
 integer valued iff its coordinates are integers, and everything the
 package does with a polynomial is integer arithmetic on them.  Fractions
 appear only where text comes in (parse_coefficients,
-polynomial_from_coefficients) and where it goes out (__str__).
+polynomial_from_coefficients) and where it goes out (__str__, one per
+printed coefficient).
 """
 
 from __future__ import annotations
@@ -43,17 +44,6 @@ def _horner(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def binomial_coeffs(k: int, shift: int):
-    """Coefficients of C(z + shift, k) as a polynomial in z: the integer
-    product of the factors z + shift - i, divided by k! once."""
-    coeffs = [1]
-    for i in range(k):
-        coeffs = [(shift - i) * a + b
-                  for a, b in zip(coeffs + [0], [0] + coeffs)]
-    scale = math.factorial(k)
-    return tuple(Fraction(c, scale) for c in coeffs)
 
 
 def _gotzmann_runs(coordinates):
@@ -163,16 +153,24 @@ class AdmissiblePolynomial:
         return True
 
     def __str__(self):
-        coeffs = [Fraction(0)] * len(self.coordinates)
+        """The monomial coefficients of d! p, summed as integers: d!
+        C(z + k, k) is d!/k! times the product of z + 1, ..., z + k."""
+        scale = math.factorial(max(self.degree, 0))
+        numerators = [0] * len(self.coordinates)
+        product = [1]
         for k, a in enumerate(self.coordinates):
+            if k:
+                product = [k * c + b
+                           for c, b in zip(product + [0], [0] + product)]
             if a:
-                for exp, c in enumerate(binomial_coeffs(k, k)):
-                    coeffs[exp] += a * c
+                weight = a * (scale // math.factorial(k))
+                for exp, c in enumerate(product):
+                    numerators[exp] += weight * c
         parts = []
         for exp in range(self.degree, -1, -1):
-            c = coeffs[exp]
-            if c == 0:
+            if numerators[exp] == 0:
                 continue
+            c = Fraction(numerators[exp], scale)
             sign = "-" if c < 0 else ("+" if parts else "")
             mag = abs(c)
             if exp == 0:

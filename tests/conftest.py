@@ -18,9 +18,13 @@ poly_add, poly_sub, poly_scale, poly_mul, poly_eval and poly_shift_arg
 work on ascending monomial coefficients, which the program only parses
 and prints, and poly_nonnegative_from() is the forward-difference scan on
 them that AdmissiblePolynomial.at_least_from must agree with.
+binomial_coeffs() gives C(z + shift, k) in those coefficients, and
+reference_str() is the Fraction printer built on it that
+AdmissiblePolynomial.__str__ must agree with, byte for byte.
 """
 
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -173,6 +177,41 @@ def _trim(coeffs):
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
+
+
+def binomial_coeffs(k: int, shift: int):
+    """Coefficients of C(z + shift, k) as a polynomial in z: the integer
+    product of the factors z + shift - i, divided by k! once."""
+    coeffs = [1]
+    for i in range(k):
+        coeffs = [(shift - i) * a + b
+                  for a, b in zip(coeffs + [0], [0] + coeffs)]
+    scale = math.factorial(k)
+    return tuple(Fraction(c, scale) for c in coeffs)
+
+
+def reference_str(p):
+    """The text of p from its coordinates a_k, summing the Fraction
+    coefficients of a_k C(z + k, k)."""
+    coeffs = [Fraction(0)] * len(p.coordinates)
+    for k, a in enumerate(p.coordinates):
+        if a:
+            for exp, c in enumerate(binomial_coeffs(k, k)):
+                coeffs[exp] += a * c
+    parts = []
+    for exp in range(len(p.coordinates) - 1, -1, -1):
+        c = coeffs[exp]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        if exp == 0:
+            body = str(mag)
+        else:
+            var = "z" if exp == 1 else "z^%d" % exp
+            body = var if mag == 1 else "%s%s" % (mag, var)
+        parts.append(sign + body)
+    return "".join(parts) if parts else "0"
 
 
 def poly_add(a, b):

@@ -160,10 +160,39 @@ def test_interrupts_are_not_caught(capsys, monkeypatch):
 
 
 def test_unknown_subcommand_exits_two(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["no-such-command"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    code, out, err = run(capsys, "no-such-command")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: minreg")
+    assert "invalid choice: 'no-such-command'" in err
+
+
+def test_refused_options_return_two_with_the_usage_line(capsys):
+    code, out, err = run(capsys, "exists", "5z-3", "--rho", "x")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "usage: minreg exists [-h] [--json] --rho RHO polynomial",
+        "error: argument --rho: invalid int value: 'x'"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exists", "5z-3", "--rho", "x", "--json"],
+    ["--json", "exists", "5z-3", "--rho", "x"],
+    ["--json", "no-such-command"],
+    ["exists", "5z-3", "--json"],
+])
+def test_refused_options_give_an_error_document_under_json(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["schema"] == 1
+    assert payload["error"]["code"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["exists", "-h"]])
+def test_help_is_printed_and_returns_zero(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: minreg")
 
 
 def test_table_reproduces_the_trace(capsys):

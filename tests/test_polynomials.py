@@ -4,7 +4,8 @@ Small decompositions are verified against a naive summand-by-summand
 reconstruction (the defining identity), large ones through the structural
 fact that differencing shifts every summand down one degree.  Random
 Gotzmann writings check the coordinates against the printed coefficients,
-and the nonnegativity scan is checked against the monomial-basis
+the printer is checked against the Fraction printer in conftest, and the
+nonnegativity scan is checked against the monomial-basis
 reference scan in conftest.  slice_growth is checked as the inverse of
 quotient_tail, at a single degree, on every small growth vector.
 """
@@ -16,13 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minreg.errors import LinearVariety, NotAdmissible, ParseError
-from minreg.polynomials import (AdmissiblePolynomial, binomial_coeffs,
-                                parse_coefficients, parse_polynomial,
+from minreg.polynomials import (AdmissiblePolynomial, parse_coefficients,
+                                parse_polynomial,
                                 polynomial_from_coefficients, quotient_tail,
                                 slice_growth)
 
-from conftest import (interpolate, poly_add, poly_eval, poly_nonnegative_from,
-                      poly_scale, poly_sub)
+from conftest import (binomial_coeffs, interpolate, poly_add, poly_eval,
+                      poly_nonnegative_from, poly_scale, poly_sub,
+                      reference_str)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +112,14 @@ def test_str_round_trip(text):
     assert str(p) == text.replace(" ", "")
     again = parse_polynomial(str(p))
     assert again == p
+
+
+def test_str_matches_the_fraction_printer_on_a_grid():
+    # Every coordinate tuple of length <= 4 in -4..4, a zero top included.
+    for length in range(5):
+        for coords in product(range(-4, 5), repeat=length):
+            p = AdmissiblePolynomial(coords)
+            assert str(p) == reference_str(p), coords
 
 
 def test_evaluation():
@@ -256,6 +266,7 @@ def _runs(writing):
 @given(writings)
 def test_random_writings(writing):
     p = polynomial_from_coefficients(_from_writing(writing))
+    assert str(p) == reference_str(p)
     assert parse_polynomial(str(p)) == p
     assert p.runs == _runs(writing)
     printed = parse_coefficients(str(p))

@@ -4,6 +4,7 @@ reference: both must give the same report, check for check."""
 import json
 import random
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -16,10 +17,9 @@ from minreg.constructions import (WitnessCertificate, certificate_from_dict,
                                   verify_witness, witness_min_reg)
 from minreg.functions import (HilbertFunction, min_scheme_regularity,
                               minimal_scheme_function, parse_hilbert_function)
-from minreg.polynomials import (binomial_coeffs, parse_polynomial,
-                                polynomial_from_coefficients)
+from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
 
-from conftest import reference_verify, sweep_classes
+from conftest import binomial_coeffs, reference_verify, sweep_classes
 
 KINDS = ("stored", "drop", "raise", "value", "regularity")
 
@@ -86,6 +86,56 @@ def test_verifier_matches_the_reference_on_random_generators(
                   for t in range(max(f.regularity, moved + 1))), f.tail)
     cert = WitnessCertificate(ideal, claim, ideal.regularity + extra, ())
     assert verify_witness(cert).checks == reference_verify(cert).checks
+
+
+def _power_and_tops(nvars, k):
+    """(x_{n-1}, ..., x2, x1^k) in n = nvars variables; its quotient is
+    that of (x1^k) in x0, x1."""
+    return StronglyStableIdeal(nvars, frozenset(
+        [(0, k) + (0,) * (nvars - 2)]
+        + [tuple(int(i == j) for i in range(nvars))
+           for j in range(2, nvars)]))
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 6])
+def test_verifier_at_the_packing_width_boundaries(nvars):
+    # The walk packs exponents in w = (k + 3).bit_length() bits, k the
+    # regularity, and reaches x0^(k+3): k = 4, 12 and 28 fill the field of
+    # x0, and k = 5, 13 and 29 widen it.  Each ideal verifies against its
+    # own function and fails with the value at its last prefix degree
+    # moved by one.  The scan reference is too slow in 6 variables for the
+    # larger k, so there it reads the 2-variable ideal with the same
+    # quotient, regularity and claim.
+    for k in range(1, 41):
+        ideal = _power_and_tops(nvars, k)
+        f = ideal.hilbert_function()
+        last = max(f.regularity - 1, 0)
+        moved = HilbertFunction(
+            tuple(f(t) + (-1) ** k * (t == last) for t in range(last + 1)),
+            f.tail)
+        for claim in (f, moved):
+            cert = WitnessCertificate(ideal, claim, k, ())
+            report = verify_witness(cert)
+            assert report.ok == (claim is f), (nvars, k)
+            if nvars > 3:
+                cert = WitnessCertificate(_power_and_tops(2, k), claim, k, ())
+            assert report.checks == reference_verify(cert).checks, (nvars, k)
+
+
+def test_walk_memory_follows_the_walk_not_the_variables():
+    # The zero ideal in 20000 variables, claiming "1 ; 0", stops at the
+    # first standard variable; a table of every 2^(w*k) up front took 52 MB.
+    cert = WitnessCertificate(StronglyStableIdeal(20000, frozenset()),
+                              parse_hilbert_function("1 ; 0"), 0, ())
+    tracemalloc.start()
+    try:
+        report = verify_witness(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.failures() == ("hilbert function by slice formulas",
+                                 "hilbert function by enumeration")
+    assert peak < 8 * 2 ** 20
 
 
 class OverBudget(BaseException):
