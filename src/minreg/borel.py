@@ -6,22 +6,23 @@ elementary raising move replaces one factor xi by a larger variable xj; a
 set of equal-degree terms closed under raising is a Borel set, and a
 monomial ideal whose every slice is Borel is strongly stable.
 
-The least variable x0 plays the role of the saturation variable: stripping
-x0 from the minimal generators of a strongly stable ideal produces its
-saturation, and the maximal degree of the minimal generators equals the
-Castelnuovo-Mumford regularity.  The Hilbert function of the quotient
-is read off the generators: each member is g*w for exactly one minimal
-generator g and a term w in x0..x_{min_index(g)} (Eliahou-Kervaire).
+The least variable x0 plays the role of the saturation variable: a
+saturated strongly stable ideal has x0-free minimal generators, and the
+maximal degree of the minimal generators equals the Castelnuovo-Mumford
+regularity.  The Hilbert function of the quotient is read off the
+generators: each member is g*w for exactly one minimal generator g and a
+term w in x0..x_{min_index(g)} (Eliahou-Kervaire).
 
 A slice is split into height classes (by x0-exponent) and growth
 classes (by least variable present).  A growth-height-lexicographic
 (ghl) set takes the lex-first terms of every class, so ghl_set() builds
 it from the class sizes alone, and the normal form lgh() rearranges a
-Borel set into it without changing either partition's sizes.
-slice_heights() reads the height classes back from a Hilbert function
-and polynomials.slice_growth() the growth classes from its tail, so
-ghl_slice() builds the slice a function asks for, and ghl_ideal() the
-witnesses, grafts and lex segments, saturating it once.
+Borel set into it without changing either partition's sizes; these two
+are the only builders of a slice.  slice_heights() reads the height
+classes back from a Hilbert function and polynomials.slice_growth() the
+growth classes from its tail, so ghl_ideal() builds the ghl slice a
+function asks for and saturates it once (saturate_slice), giving the
+witnesses, grafts, liftings and lex segments.
 
 BorelSet and StronglyStableIdeal are plain records that trust their
 callers: every builder here yields a raising-closed set, and an ideal by
@@ -127,15 +128,6 @@ def borel_leq(a, b) -> bool:
     return True
 
 
-def _adjacent_lowerings(term):
-    for i in range(1, len(term)):
-        if term[i] > 0:
-            lowered = list(term)
-            lowered[i] -= 1
-            lowered[i - 1] += 1
-            yield tuple(lowered)
-
-
 @dataclass(frozen=True)
 class BorelSet:
     """A raising-closed set of equal-degree terms.  A trusted record:
@@ -167,15 +159,6 @@ class BorelSet:
         for term in self.terms:
             counts[term[0]] += 1
         return tuple(counts)
-
-    def minimal_terms(self):
-        """Members with no lowering inside the set, lex-descending."""
-        found = []
-        for term in self:
-            if all(low not in self.terms
-                   for low in _adjacent_lowerings(term)):
-                found.append(term)
-        return tuple(found)
 
 
 def ghl_set(nvars: int, degree: int, growth, heights) -> BorelSet:
@@ -219,16 +202,6 @@ def lgh(B: BorelSet) -> BorelSet:
     return ghl_set(B.nvars, B.degree, B.growth_vector(), B.height_vector())
 
 
-def _minimalize(terms):
-    """Drop every term strictly divisible by another one."""
-    kept = []
-    by_degree = sorted(set(terms), key=term_degree)
-    for term in by_degree:
-        if not any(divides(g, term) for g in kept if g != term):
-            kept.append(term)
-    return frozenset(kept)
-
-
 @dataclass(frozen=True)
 class StronglyStableIdeal:
     """Monomial ideal closed under raising moves, held by its minimal
@@ -252,23 +225,6 @@ class StronglyStableIdeal:
 
     def contains(self, term) -> bool:
         return any(divides(g, term) for g in self.generators)
-
-    def degree_slice(self, t: int) -> BorelSet:
-        """All degree-t members, as a Borel set, each listed once as g*w,
-        w in x0..x_{ek_index(g)}."""
-        members = []
-        for gen in self.generators:
-            i = ek_index(gen)
-            for w in monomial_basis(i + 1, t - term_degree(gen)):
-                members.append(tuple(a + b for a, b in zip(w, gen))
-                               + gen[i + 1:])
-        return BorelSet(self.nvars, t, frozenset(members))
-
-    def saturation(self) -> "StronglyStableIdeal":
-        """Strip x0 from every generator; the stripped terms may divide
-        one another, so only the minimal ones are kept."""
-        stripped = [(0,) + g[1:] for g in self.generators]
-        return StronglyStableIdeal(self.nvars, _minimalize(stripped))
 
     def hilbert_function(self) -> HilbertFunction:
         """Hilbert function of the saturated quotient: a generator of
@@ -333,21 +289,17 @@ def saturate_slice(B: BorelSet) -> StronglyStableIdeal:
     return StronglyStableIdeal(B.nvars, frozenset(gens))
 
 
-def ghl_slice(f: HilbertFunction, degree: int, nvars: int) -> BorelSet:
-    """The ghl set of degree s = `degree` in nvars variables with the
-    growth classes of f's tail (slice_growth) and the height classes of
-    its values (slice_heights).  When a saturated strongly stable ideal
-    J generated in degree <= s has quotient function f, this is lgh of
-    J's degree-s slice, as both have J's class sizes."""
-    return ghl_set(nvars, degree, slice_growth(f.tail, degree, nvars),
-                   slice_heights(f, degree, nvars))
-
-
 def ghl_ideal(f: HilbertFunction, degree: int,
               nvars: int) -> StronglyStableIdeal:
-    """The saturation of ghl_slice(f, degree, nvars), which has quotient
-    function f when some J as there does."""
-    return saturate_slice(ghl_slice(f, degree, nvars))
+    """The saturation of the ghl set of degree s = `degree` in nvars
+    variables with the growth classes of f's tail (slice_growth) and the
+    height classes of its values (slice_heights).  When a saturated
+    strongly stable ideal J generated in degree <= s has quotient
+    function f, that set is lgh of J's degree-s slice, as both have J's
+    class sizes, so the result has quotient function f too."""
+    return saturate_slice(ghl_set(nvars, degree,
+                                  slice_growth(f.tail, degree, nvars),
+                                  slice_heights(f, degree, nvars)))
 
 
 def artinian_lift(A: StronglyStableIdeal) -> StronglyStableIdeal:

@@ -44,11 +44,15 @@ def _json_mode(args) -> bool:
                 or getattr(args, "json_sub", False))
 
 
+def _document(payload: dict) -> str:
+    """The JSON text of every document: the payload stamped with the
+    schema, keys sorted, indented by two."""
+    return json.dumps(dict(payload, schema=SCHEMA), indent=2, sort_keys=True)
+
+
 def _emit(args, payload: dict, lines):
     if _json_mode(args):
-        payload = dict(payload)
-        payload["schema"] = SCHEMA
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_document(payload))
     else:
         for line in lines:
             print(line)
@@ -161,9 +165,7 @@ def cmd_witness(args) -> int:
     else:
         raise InputError("give a polynomial or --hf")
     cert = witness_min_reg(u)
-    payload = dict(cert.as_dict())
-    payload["schema"] = SCHEMA
-    document = json.dumps(payload, indent=2, sort_keys=True)
+    document = _document(cert.as_dict())
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -174,10 +176,8 @@ def cmd_witness(args) -> int:
         if not _json_mode(args):
             print("wrote a regularity-%d certificate to %s"
                   % (cert.regularity, args.output))
-        else:
-            print(document)
-    else:
-        print(document)
+            return 0
+    print(document)
     return 0
 
 
@@ -316,13 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _report(exc, json_mode: bool) -> int:
+    # a MemoryError, say, has no message: its class name stands in
+    message = str(exc) or type(exc).__name__
     if json_mode:
-        print(json.dumps({"schema": SCHEMA,
-                          "error": {"code": type(exc).__name__,
-                                    "message": str(exc)}},
-                         indent=2, sort_keys=True))
+        print(_document({"error": {"code": type(exc).__name__,
+                                   "message": message}}))
     else:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % message, file=sys.stderr)
     return exc.exit_code if isinstance(exc, MinregError) else 3
 
 

@@ -1,24 +1,24 @@
 """Constructions of witness ideals with prescribed Hilbert data.
 
 Three builders produce saturated strongly stable ideals together with a
-claimed Hilbert function and regularity, packaged as certificates:
+claimed Hilbert function and regularity, packaged as certificates, and
+work on generators and class sizes:
 
-* remove_minimal_term drops one Borel-minimal term from a high-degree
-  slice, which bumps the Hilbert function by one from a chosen degree on;
+* remove_minimal_term drops one Borel-minimal term x0^(s-t)*v from a
+  high-degree slice, which bumps the Hilbert function by one from degree
+  t on; v is a generator, and the new generators replace it by its
+  multiples v*x_j, j <= ek_index(v);
 * expanded_lifting adds a new least variable to a given ideal and keeps,
   of its ghl slice at the working degree, the terms a prescribed function
   asks for, landing exactly on regularity max(reg of the input, rho + 1);
 * ideal_graft splices the low degrees of one quotient onto the high
-  degrees of another, by building the ghl slice of the spliced function.
+  degrees of another.
 
-expanded_lifting reads the growth classes of its slice off the lifted
-ideal's tail (borel.ghl_slice); ideal_graft and witness_min_reg read
-them off the target's (borel.ghl_ideal).  All three take the height
-classes from the target function and saturate the slice once.
-
-witness_min_reg builds the ghl slice of the target function at the least
-regularity that the descent of the regularity module computes, and so
-realizes the minimal regularity in its class.
+The last two, like witness_min_reg, are one borel.ghl_ideal call on the
+target function (the lift's growth classes differ from the target's only
+in class 0, which ghl_set does not read).  witness_min_reg makes it at
+the least regularity that the descent of the regularity module
+computes, and so realizes the minimal regularity in its class.
 The builders check only what they achieve.  verify_witness, the one check
 on an ideal, runs once per public certificate (as witness_min_reg returns
 it, or as `minreg verify` reads it): minimality, stability, saturation
@@ -31,10 +31,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
-from .borel import (BorelSet, StronglyStableIdeal, artinian_lift,
-                    degrevlex_key, divides, ghl_ideal, ghl_set, ghl_slice,
-                    lex_key, saturate_slice, slice_heights, term_string)
+from .borel import (StronglyStableIdeal, artinian_lift, degrevlex_key,
+                    divides, ek_index, ghl_ideal, monomial_basis,
+                    slice_heights, term_degree, term_string)
 from .errors import (InputError, InternalInconsistency, LinearVariety,
                      NoRemovableTerm, NotSchemeHF, PreconditionViolation,
                      VerificationFailure)
@@ -231,6 +232,16 @@ def remove_minimal_term(J: StronglyStableIdeal, s: int,
     """Drop one Borel-minimal term with x0-free part of degree t_bar from
     the degree-s slice and saturate.
 
+    The slice term x0^(s-t_bar)*v is Borel-minimal only if v is a
+    generator: else v/x_min(v) lies in J (Eliahou-Kervaire), and so does
+    a lowering of the term.  The degrevlex-least generator v of degree
+    t_bar always is: its lowering x1 -> x0 strips to v/x1, outside J, and
+    a lowering w = v*x_(i-1)/x_i in J would be a generator of degree
+    t_bar, which comes first in degrevlex, or a multiple of one of lower
+    degree; those multiples are closed under raising, and v raises w.  The
+    saturation without the term is J without v alone, so its generators
+    are J's others and v*x_j for 1 <= j <= ek_index(v).
+
     The quotient gains one in every degree from t_bar on; the regularity
     moves from m to m+1 exactly when t_bar equals m.
     """
@@ -243,15 +254,16 @@ def remove_minimal_term(J: StronglyStableIdeal, s: int,
     if not 0 <= t_bar < s:
         raise PreconditionViolation(
             "need 0 <= t_bar < s, got t_bar=%d s=%d" % (t_bar, s))
-    B = J.degree_slice(s)
-    candidates = [term for term in B.minimal_terms()
-                  if term[0] == s - t_bar]
+    candidates = [v for v in J.generators if term_degree(v) == t_bar]
     if not candidates:
         raise NoRemovableTerm(
             "no minimal term with x0-exponent %d in the degree-%d slice"
             % (s - t_bar, s))
-    term = min(candidates, key=degrevlex_key)
-    result = saturate_slice(BorelSet(B.nvars, s, B.terms - {term}))
+    v = min(candidates, key=degrevlex_key)
+    term = (s - t_bar,) + v[1:]
+    multiples = {v[:j] + (v[j] + 1,) + v[j + 1:]
+                 for j in range(1, ek_index(v) + 1)}
+    result = StronglyStableIdeal(J.nvars, J.generators - {v} | multiples)
 
     before = J.hilbert_function()
     expected = _bumped(before, t_bar)
@@ -297,26 +309,29 @@ def expanded_lifting(f: HilbertFunction,
             "section function %s is not below the difference %s" % (g, df))
 
     lifted = artinian_lift(Jz)
+    nvars = lifted.nvars
     m = max(Jz.regularity, rho + 1)
     log = ["lifted %d generators into %d variables, working degree %d"
-           % (len(Jz.generators), lifted.nvars, m)]
+           % (len(Jz.generators), nvars, m)]
 
-    # The lifted slice in ghl form keeps its growth classes, which fix the
-    # polynomial; f fixes the height classes.  The terms in between go.
-    start = ghl_slice(lifted.hilbert_function(), m, lifted.nvars)
-    heights = slice_heights(f, m, lifted.nvars)
+    # The lifted slice and the output's, both in ghl form, share their
+    # growth classes; f fixes the output's height classes.  Of x0^j times
+    # the degree-(m-j) terms in x1..xn, lex-descending, the lift keeps the
+    # first start[j] and f the first heights[j]; the ones in between go.
+    start = slice_heights(lifted.hilbert_function(), m, nvars)
+    heights = slice_heights(f, m, nvars)
     if min(heights) < 0:
         raise NoRemovableTerm("%s needs more than the %d variables of the"
-                              " lift" % (f, lifted.nvars))
-    B = ghl_set(lifted.nvars, m, start.growth_vector(), heights)
-    if not B.terms <= start.terms:
+                              " lift" % (f, nvars))
+    ideal = ghl_ideal(f, m, nvars)
+    if any(heights[j] > start[j] for j in range(1, m + 1)):
         raise InternalInconsistency(
             "the slice for %s is not inside the lifted slice" % f)
-    for term in sorted(start.terms - B.terms,
-                       key=lambda t: (-t[0], lex_key(t))):
-        log.append("removed %s (gap at degree %d)"
-                   % (term_string(term), m - term[0]))
-    ideal = saturate_slice(B)
+    for j in range(m, 0, -1):
+        gone = islice(monomial_basis(nvars - 1, m - j), heights[j], start[j])
+        for t in reversed(list(gone)):
+            log.append("removed %s (gap at degree %d)"
+                       % (term_string((j,) + t), m - j))
     achieved = ideal.hilbert_function()
     if achieved != f:
         raise InternalInconsistency(

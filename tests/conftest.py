@@ -6,8 +6,12 @@ pass/fail verdicts survive output capturing.
 
 ideal() builds the hand-written fixture ideals.  StronglyStableIdeal
 trusts its caller, so ideal() checks each fixture by raw divisibility
-first.  reference_verify() is the scan verifier that
-constructions.verify_witness must agree with, check for check.
+first.  degree_slice(), saturation() and minimal_terms() work on whole
+slices of the ambient ring, and reference_removal() is the removal by
+them that constructions.remove_minimal_term, which works on generators,
+must agree with, refusals and log included.  reference_verify() is the
+scan verifier that constructions.verify_witness must agree with, check
+for check.
 reference_witness() is the paper's chain of expanded liftings down the
 derivative tower, from an artinian lex base, whose ideal
 constructions.witness_min_reg must build in one step.
@@ -31,10 +35,13 @@ from fractions import Fraction
 import pytest
 
 from minreg.binomials import binom
-from minreg.borel import StronglyStableIdeal, artinian_lift, monomial_basis
+from minreg.borel import (BorelSet, StronglyStableIdeal, artinian_lift,
+                          degrevlex_key, ek_index, monomial_basis,
+                          saturate_slice, term_string)
 from minreg.constructions import (VerificationReport, WitnessCertificate,
                                   expanded_lifting)
-from minreg.errors import InternalInconsistency, NotAdmissible
+from minreg.errors import (InternalInconsistency, NoRemovableTerm,
+                           NotAdmissible, PreconditionViolation)
 from minreg.functions import HilbertFunction, descent_step
 from minreg.polynomials import polynomial_from_coefficients
 
@@ -70,6 +77,66 @@ def ideal(nvars, *gens):
                 assert any(_divides(h, raised) for h in gens), \
                     "raising %s gives %s outside the ideal" % (g, raised)
     return StronglyStableIdeal(nvars, gens)
+
+
+def degree_slice(J, t):
+    """All degree-t members of J, as a Borel set, each listed once as g*w,
+    w in x0..x_{ek_index(g)}."""
+    members = []
+    for gen in J.generators:
+        i = ek_index(gen)
+        for w in monomial_basis(i + 1, t - sum(gen)):
+            members.append(tuple(a + b for a, b in zip(w, gen))
+                           + gen[i + 1:])
+    return BorelSet(J.nvars, t, frozenset(members))
+
+
+def saturation(J):
+    """Strip x0 from every generator and keep the stripped terms that no
+    other one divides."""
+    kept = []
+    for term in sorted({(0,) + g[1:] for g in J.generators}, key=sum):
+        if not any(_divides(g, term) for g in kept):
+            kept.append(term)
+    return StronglyStableIdeal(J.nvars, frozenset(kept))
+
+
+def minimal_terms(B):
+    """Members of a Borel set with no adjacent lowering x_i -> x_(i-1)
+    inside it, lex-descending."""
+    def lowerings(term):
+        for i in range(1, len(term)):
+            if term[i]:
+                yield term[:i - 1] + (term[i - 1] + 1, term[i] - 1) \
+                    + term[i + 1:]
+    return tuple(term for term in B
+                 if not any(low in B.terms for low in lowerings(term)))
+
+
+def reference_removal(J, s, t_bar):
+    """Drop the degrevlex-least Borel-minimal term with x0-exponent
+    s - t_bar from J's degree-s slice, and saturate what is left."""
+    if not J.is_saturated:
+        raise PreconditionViolation("removal needs a saturated ideal")
+    if s < max(J.regularity, 1):
+        raise PreconditionViolation(
+            "slice degree %d is below the regularity %d"
+            % (s, J.regularity))
+    if not 0 <= t_bar < s:
+        raise PreconditionViolation(
+            "need 0 <= t_bar < s, got t_bar=%d s=%d" % (t_bar, s))
+    B = degree_slice(J, s)
+    candidates = [term for term in minimal_terms(B)
+                  if term[0] == s - t_bar]
+    if not candidates:
+        raise NoRemovableTerm(
+            "no minimal term with x0-exponent %d in the degree-%d slice"
+            % (s - t_bar, s))
+    term = min(candidates, key=degrevlex_key)
+    result = saturate_slice(BorelSet(B.nvars, s, B.terms - {term}))
+    log = ("removed %s from the degree-%d slice" % (term_string(term), s),)
+    return WitnessCertificate(result, result.hilbert_function(),
+                              result.regularity, log)
 
 
 def reference_verify(certificate):

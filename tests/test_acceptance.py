@@ -24,7 +24,7 @@ from minreg.polynomials import parse_polynomial
 from minreg.regularity import (min_regularity, min_regularity_at,
                                min_regularity_of_function)
 
-from conftest import ideal
+from conftest import degree_slice, ideal, saturation
 
 
 def poly(text):
@@ -111,11 +111,11 @@ CURVE15 = ideal(5, (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1),
 
 def test_criterion_5_growth_height_normalization(record_property):
     record_property("criterion", "5 (growth-height normalization)")
-    normalized = lgh(CROOKED.degree_slice(5))
+    normalized = lgh(degree_slice(CROOKED, 5))
     assert normalized.growth_vector() == (42, 26, 15, 5, 1)
     assert normalized.height_vector() == (47, 26, 12, 4, 0, 0)
-    assert StronglyStableIdeal(normalized.nvars, normalized.terms) \
-        .saturation() == STRAIGHTENED
+    assert saturation(StronglyStableIdeal(normalized.nvars,
+                                          normalized.terms)) == STRAIGHTENED
 
 
 def test_criterion_6_lifting_example(record_property):
@@ -249,8 +249,8 @@ def test_criterion_8_oracle_suites(record_property):
         L = lgh(B)
         assert L.growth_vector() == B.growth_vector()
         assert L.height_vector() == B.height_vector()
-        before = StronglyStableIdeal(B.nvars, B.terms).saturation()
-        after = StronglyStableIdeal(L.nvars, L.terms).saturation()
+        before = saturation(StronglyStableIdeal(B.nvars, B.terms))
+        after = saturation(StronglyStableIdeal(L.nvars, L.terms))
         assert before.hilbert_function() == after.hilbert_function()
         assert saturate_slice(B) == before
         assert saturate_slice(L) == after

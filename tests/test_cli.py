@@ -150,6 +150,20 @@ def test_other_os_errors_are_bugs(capsys, monkeypatch):
         assert (code, out, err) == (3, "", "error: broken on purpose\n")
 
 
+def test_an_error_without_a_message_is_named(capsys, monkeypatch):
+    # a MemoryError carries no message; the error line names its class
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(minreg.cli, "witness_min_reg", exhausted)
+    code, out, err = run(capsys, "witness", "5z-3")
+    assert (code, out, err) == (3, "", "error: MemoryError\n")
+    code, out, _ = run(capsys, "witness", "5z-3", "--json")
+    assert code == 3
+    assert json.loads(out)["error"] == {"code": "MemoryError",
+                                        "message": "MemoryError"}
+
+
 def test_interrupts_are_not_caught(capsys, monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt

@@ -1,10 +1,13 @@
 """Tests for the witness constructions and their verifier."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from minreg.borel import (BorelSet, StronglyStableIdeal, artinian_lift,
-                          degrevlex_key, lgh, saturate_slice)
+                          degrevlex_key, ghl_set, lex_key, lgh,
+                          saturate_slice, slice_heights, term_string)
 from minreg.constructions import (WitnessCertificate, certificate_from_dict,
                                   expanded_lifting, ideal_graft,
                                   remove_minimal_term, verify_witness,
@@ -18,7 +21,9 @@ from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
 from minreg.regularity import min_regularity, min_regularity_at
 
 import conftest
-from conftest import ideal, reference_witness, sweep_classes
+from conftest import (degree_slice, ideal, minimal_terms, reference_removal,
+                      reference_witness, saturation, sweep_classes)
+from test_borel import random_borel_set
 from test_polynomials import _from_writing, writings
 
 
@@ -57,7 +62,7 @@ def stepwise_lifting(f, Jz):
     at a time, the degrevlex-least one at the first gap to f, and bring
     the slice back to ghl form after every removal."""
     m = max(Jz.regularity, f.regularity + 1)
-    B = artinian_lift(Jz).degree_slice(m)
+    B = degree_slice(artinian_lift(Jz), m)
     while True:
         B = lgh(B)
         ideal = saturate_slice(B)
@@ -66,12 +71,26 @@ def stepwise_lifting(f, Jz):
             return ideal
         assert achieved.dominated_by(f)
         t_bar = next(t for t in range(m) if achieved(t) != f(t))
-        candidates = [term for term in B.minimal_terms()
+        candidates = [term for term in minimal_terms(B)
                       if term[0] == m - t_bar]
         if not candidates:
             raise NoRemovableTerm("no candidate at degree %d" % t_bar)
         term = min(candidates, key=degrevlex_key)
         B = BorelSet(B.nvars, m, B.terms - {term})
+
+
+def sliced_lifting_log(f, Jz):
+    """The removal lines of a lifting's log as the difference of two
+    whole slices: the lift's degree-m slice in ghl form, less the ghl set
+    with its growth classes and the height classes of f."""
+    lifted = artinian_lift(Jz)
+    m = max(Jz.regularity, f.regularity + 1)
+    start = lgh(degree_slice(lifted, m))
+    kept = ghl_set(lifted.nvars, m, start.growth_vector(),
+                   slice_heights(f, m, lifted.nvars))
+    return tuple("removed %s (gap at degree %d)" % (term_string(t), m - t[0])
+                 for t in sorted(start.terms - kept.terms,
+                                 key=lambda t: (-t[0], lex_key(t))))
 
 
 def test_expanded_lifting_matches_the_stepwise_removals(monkeypatch):
@@ -82,15 +101,17 @@ def test_expanded_lifting_matches_the_stepwise_removals(monkeypatch):
 
     def recorded(f, Jz):
         cert = expanded_lifting(f, Jz)
-        calls.append((f, Jz, cert.ideal))
+        calls.append((f, Jz, cert))
         return cert
 
     monkeypatch.setattr(conftest, "expanded_lifting", recorded)
     for text, rho, _ in WITNESS_TABLE:
         reference_witness(minimal_scheme_function(poly(text), rho))
     assert len(calls) >= len(WITNESS_TABLE)
-    for f, Jz, lifted in calls:
-        assert lifted == stepwise_lifting(f, Jz), f
+    assert any(len(cert.log) > 1 for _, _, cert in calls)
+    for f, Jz, cert in calls:
+        assert cert.ideal == stepwise_lifting(f, Jz), f
+        assert cert.log[1:] == sliced_lifting_log(f, Jz), f
 
 
 def test_expanded_lifting_without_removals():
@@ -143,6 +164,48 @@ def test_removal_keeps_low_degrees():
     before = STRAIGHTENED.hilbert_function()
     for t in range(3):
         assert cert.hilbert_function(t) == before(t)
+
+
+def removal_outcome(remove, J, s, t_bar):
+    try:
+        cert = remove(J, s, t_bar)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return cert.ideal, cert.hilbert_function, cert.regularity, cert.log
+
+
+def removals_match_the_slice_reference(ideals):
+    """Every s from reg to reg + 2 and every t_bar < s on each ideal; the
+    numbers of certificates and of refusals."""
+    removed = refused = 0
+    for J in ideals:
+        for s in range(J.regularity, J.regularity + 3):
+            for t_bar in range(s):
+                got = removal_outcome(remove_minimal_term, J, s, t_bar)
+                assert got == removal_outcome(reference_removal, J, s,
+                                              t_bar), (J, s, t_bar)
+                if isinstance(got[0], StronglyStableIdeal):
+                    removed += 1
+                else:
+                    refused += 1
+    return removed, refused
+
+
+def test_removal_matches_the_slice_reference_on_random_ideals():
+    rng = random.Random(131)
+    ideals = []
+    for _ in range(120):
+        B = random_borel_set(rng, rng.randrange(2, 6), rng.randrange(1, 6))
+        ideals.append(saturation(StronglyStableIdeal(B.nvars, B.terms)))
+    removed, refused = removals_match_the_slice_reference(ideals)
+    assert removed > 200 and refused > 300
+
+
+def test_removal_matches_the_slice_reference_on_the_sweep():
+    ideals = [certificate_from_dict(cls["certificate"]).ideal
+              for cls in sweep_classes()]
+    ideals += [STRAIGHTENED, CURVE15, SECTION15]
+    assert removals_match_the_slice_reference(ideals) == (334, 707)
 
 
 def test_removal_errors():
