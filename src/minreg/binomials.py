@@ -2,13 +2,14 @@
 
 The binomial convention used everywhere in this package is the vanishing
 one: C(n, m) = 0 whenever m < 0 or n < m, and C(n, 0) = 1 for n >= 0.
-All arithmetic is exact.
+All arithmetic is exact.  The Macaulay expansion of a >= 1 in base t,
+a = C(k_t, t) + ... + C(k_j, j) with strictly decreasing tops k_i >= i
+and j >= 1, is held as its tuple of tops (k_t, ..., k_j).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -19,68 +20,52 @@ def binom(n: int, m: int) -> int:
     return math.comb(n, m)
 
 
-@dataclass(frozen=True)
-class BinomialExpansion:
-    """Expansion of a positive integer in a fixed binomial base.
-
-    Represents a = C(k_t, t) + C(k_{t-1}, t-1) + ... + C(k_j, j) where
-    base = t, tops = (k_t, k_{t-1}, ..., k_j), the tops strictly decrease,
-    each top is at least its index, and the indices run consecutively down
-    to j >= 1.  With those constraints the writing is unique.  A trusted
-    record: only the greedy macaulay_expand builds one, and nothing
-    re-checks the shape on construction.
-    """
-
-    base: int
-    tops: tuple[int, ...]
-
-    @property
-    def lowest_index(self) -> int:
-        return self.base - len(self.tops) + 1
-
-    def indices(self) -> range:
-        return range(self.base, self.base - len(self.tops), -1)
-
-    def value(self) -> int:
-        return sum(binom(k, i) for k, i in zip(self.tops, self.indices()))
-
-    def shifted_value(self, dk: int, di: int) -> int:
-        """Value after replacing every C(k, i) with C(k + dk, i + di)."""
-        return sum(binom(k + dk, i + di) for k, i in zip(self.tops, self.indices()))
-
-
-def _largest_top(remainder: int, index: int) -> int:
-    """Largest k with C(k, index) <= remainder, for remainder >= 1."""
-    lo, hi = index, index + 1
-    while binom(hi, index) <= remainder:
-        lo, hi = hi, hi * 2
+def _largest_top(remainder: int, index: int, hi: int) -> int:
+    """Largest k < hi with C(k, index) <= remainder, for remainder >= 1
+    and C(hi, index) > remainder: the remainder itself at index 1, else
+    found by bisection from C(index, index) = 1."""
+    if index == 1:
+        return remainder
+    lo = index
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if binom(mid, index) <= remainder:
+        if math.comb(mid, index) <= remainder:
             lo = mid
         else:
             hi = mid
     return lo
 
 
-@lru_cache(maxsize=None)
-def macaulay_expand(a: int, t: int) -> BinomialExpansion:
-    """Unique Macaulay expansion of a >= 1 in base t >= 1 (greedy)."""
+def macaulay_expand(a: int, t: int) -> tuple[int, ...]:
+    """Tops of the Macaulay expansion of a >= 1 in base t >= 1 (greedy)."""
     if a < 1 or t < 1:
         raise ValueError("macaulay expansion needs a >= 1 and t >= 1")
-    tops = []
-    remainder = a
-    index = t
+    hi = t + 1
+    while math.comb(hi, t) <= a:
+        hi *= 2
+    tops, remainder, index = [], a, t
     while remainder > 0:
-        # At index 1 the greedy top equals the remainder, so the loop
-        # always terminates before the index can drop below 1.
-        k = _largest_top(remainder, index)
+        # After C(k, index) is taken the remainder is below C(k, index-1),
+        # so the next top is below k.  At index 1 the top is the whole
+        # remainder, so the index never drops below 1.
+        k = _largest_top(remainder, index, hi)
         tops.append(k)
-        remainder -= binom(k, index)
-        index -= 1
-    return BinomialExpansion(t, tuple(tops))
+        remainder -= math.comb(k, index)
+        index, hi = index - 1, k
+    return tuple(tops)
 
 
+def _shifted(a: int, t: int, step: int) -> int:
+    """Value after replacing every C(k, i) of a's expansion in base t
+    with C(k + step, i + step); 0 for a = 0."""
+    if a == 0:
+        return 0
+    return sum(math.comb(k + step, i + step)
+               for k, i in zip(macaulay_expand(a, t), range(t, 0, -1)))
+
+
+# is_admissible_function re-tests the same values of a function (and of
+# its difference) for every candidate, so most calls hit this cache.
 @lru_cache(maxsize=None)
 def plus_plus(a: int, t: int) -> int:
     """Macaulay growth bound: add one to every top and every index.
@@ -88,18 +73,37 @@ def plus_plus(a: int, t: int) -> int:
     For a ruled degree-t piece of size a this bounds the size of the
     degree t+1 piece.  Extended by plus_plus(0, t) = 0.
     """
-    if a == 0:
-        return 0
-    return macaulay_expand(a, t).shifted_value(1, 1)
+    return _shifted(a, t, 1)
 
 
-@lru_cache(maxsize=None)
 def minus_minus(a: int, t: int) -> int:
-    """Subtract one from every top and every index of the expansion.
+    """a_<t>: subtract one from every top and every index of the expansion.
 
     Extended by minus_minus(0, t) = 0.  For a >= 1 the result is always
     at least 1 because every term C(k-1, i-1) with k >= i >= 1 is positive.
     """
-    if a == 0:
-        return 0
-    return macaulay_expand(a, t).shifted_value(-1, -1)
+    return _shifted(a, t, -1)
+
+
+def lowered_chain(a: int, t: int) -> list:
+    """Values at 0, 1, ..., t-1 below a at t, each the minus_minus of
+    the next.  One expansion is carried down: lowering its tops gives the
+    next one, once a last term C(k-1, 0) = 1 is folded into the term
+    above it and equal last tops merge by C(k, i) + C(k, i-1) = C(k+1, i).
+    """
+    if a == 0 or t == 0:
+        return [0] * t
+    tops = list(macaulay_expand(a, t))
+    chain = [1] * t
+    for base in range(t - 1, 0, -1):
+        tops = [k - 1 for k in tops]
+        if len(tops) > base:
+            tops.pop()
+            tops[-1] += 1
+            # Merging changes no value; it keeps the list the expansion,
+            # whose fewer terms make long chains about twice as fast.
+            while len(tops) > 1 and tops[-1] == tops[-2]:
+                tops.pop()
+                tops[-1] += 1
+        chain[base] = sum(map(math.comb, tops, range(base, 0, -1)))
+    return chain

@@ -6,13 +6,15 @@ kept canonical: its last entry always differs from the tail value there,
 so the length of the prefix is the regularity of the function, the first
 point from which the function agrees with its tail forever.
 
-The minimal functions come from Macaulay growth.  minimal_function(p, rho)
-is the pointwise least admissible function with tail p and regularity at
-most rho; minimal_function_exact(p, rho) is the least one with regularity
-exactly rho; minimal_scheme_function(p, rho) is the least Hilbert function
-of a scheme, or None when no scheme has that pair.  The two regularity
-minima min_function_regularity and min_scheme_regularity are computed
-without ever scanning the full range up to the Gotzmann number.
+The minimal functions come from Macaulay growth: below a value a at t
+they run down a_<t>, (a_<t>)_<t-1>, ..., one binomials.lowered_chain.
+minimal_function(p, rho) is the pointwise least admissible function with
+tail p and regularity at most rho; minimal_function_exact(p, rho) is the
+least one with regularity exactly rho; minimal_scheme_function(p, rho) is
+the least Hilbert function of a scheme, or None when no scheme has that
+pair.  The two regularity minima min_function_regularity and
+min_scheme_regularity are computed without ever scanning the full range
+up to the Gotzmann number.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .binomials import minus_minus, plus_plus
+from .binomials import lowered_chain, plus_plus
 from .errors import (InternalInconsistency, NegativeDerivative, NotAdmissible,
                      ParseError, RhoTooSmall)
 from .polynomials import AdmissiblePolynomial, parse_tail
@@ -163,16 +165,6 @@ def is_scheme_function(h: HilbertFunction) -> bool:
 # minimal functions
 
 
-def _descent_values(value: int, top: int) -> list:
-    """Values at 0..top-1 below `value` at degree top, each as small as
-    Macaulay growth allows: a value v at t has v_<t> under it at t - 1."""
-    chain = []
-    for t in range(top, 0, -1):
-        value = minus_minus(value, t)
-        chain.append(value)
-    return chain[::-1]
-
-
 def minimal_function(p: AdmissiblePolynomial, rho: int) -> HilbertFunction:
     """Pointwise least admissible function with tail p and regularity <= rho.
 
@@ -184,7 +176,7 @@ def minimal_function(p: AdmissiblePolynomial, rho: int) -> HilbertFunction:
         raise RhoTooSmall("no function with tail %s has regularity %d < %d"
                           % (p, rho, least))
     effective = min(rho, max(p.gotzmann_number - 1, 0))
-    return HilbertFunction(tuple(_descent_values(p(effective), effective)), p)
+    return HilbertFunction(tuple(lowered_chain(p(effective), effective)), p)
 
 
 def minimal_function_exact(p: AdmissiblePolynomial, rho: int) -> HilbertFunction:
@@ -200,7 +192,7 @@ def minimal_function_exact(p: AdmissiblePolynomial, rho: int) -> HilbertFunction
     if f.regularity == rho:
         return f
     value = p(rho - 1) + 1
-    prefix = _descent_values(value, rho - 1) + [value]
+    prefix = lowered_chain(value, rho - 1) + [value]
     if prefix[0] != 1:
         raise NotAdmissible("no function with tail %s has regularity"
                             " exactly %d" % (p, rho))

@@ -17,6 +17,9 @@ derivative tower, from an artinian lex base, whose ideal
 constructions.witness_min_reg must build in one step.
 sweep_classes() reads the benchmark's sweep of fixture classes, each
 with its stored certificate.
+reference_expand() is the plain greedy Macaulay expansion, doubling up
+from the index at every step, that binomials.macaulay_expand must agree
+with.
 values(), partial_sums() and interpolate() are used by tests only.
 poly_add, poly_sub, poly_scale, poly_mul, poly_eval and poly_shift_arg
 work on ascending monomial coefficients, which the program only parses
@@ -362,6 +365,28 @@ def poly_nonnegative_from(coeffs, start: int) -> bool:
             return True
         t += 1
     raise InternalInconsistency("nonnegativity scan passed its root bound undecided")
+
+
+def reference_expand(a, t):
+    """Tops of the Macaulay expansion of a >= 1 in base t >= 1: at each
+    index the largest top whose binomial fits the remainder, found by
+    doubling up from the index and then bisecting."""
+    tops = []
+    index = t
+    while a > 0:
+        lo, hi = index, index + 1
+        while binom(hi, index) <= a:
+            lo, hi = hi, hi * 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if binom(mid, index) <= a:
+                lo = mid
+            else:
+                hi = mid
+        tops.append(lo)
+        a -= binom(lo, index)
+        index -= 1
+    return tuple(tops)
 
 
 def values(h, stop):

@@ -1,16 +1,31 @@
 """Tests for binomial conventions and Macaulay expansion operators.
 
-The expansion itself is checked against its defining constraints (value,
-strictly decreasing tops, consecutive indices), which pin it down uniquely.
+The expansion, a tuple of tops with indices counting down from the base,
+is checked against its defining constraints (value, strictly decreasing
+tops, each top at least its index, lowest index at least 1), which pin it
+down uniquely, and against the plain greedy conftest.reference_expand.
+The lowered chain is checked against repeated minus_minus.
 plus_plus is checked against an independent set-theoretic oracle: the
 growth of the complement of a lex ideal, counted by hand from monomials.
 minus_minus is checked against its dual minimality property.
 """
 
+import random
+
 import pytest
 
-from minreg.binomials import (BinomialExpansion, binom, macaulay_expand,
+from minreg.binomials import (binom, lowered_chain, macaulay_expand,
                               minus_minus, plus_plus)
+
+from conftest import reference_expand
+
+
+def _value(tops, t):
+    return sum(binom(k, i) for k, i in zip(tops, range(t, 0, -1)))
+
+
+def _lowest_index(tops, t):
+    return t - len(tops) + 1
 
 
 def test_binom_conventions():
@@ -25,9 +40,9 @@ def test_binom_conventions():
 
 
 def test_expansion_constraints_enforced():
-    e = BinomialExpansion(3, (5, 3, 1))
-    assert e.value() == 10 + 3 + 1
-    assert e.lowest_index == 1
+    assert _value((5, 3, 1), 3) == 10 + 3 + 1
+    assert _lowest_index((5, 3, 1), 3) == 1
+    assert macaulay_expand(14, 3) == (5, 3, 1)
 
 
 def test_macaulay_expand_defining_properties():
@@ -35,12 +50,11 @@ def test_macaulay_expand_defining_properties():
     # is a complete correctness proof over the swept range
     for t in range(1, 7):
         for a in range(1, 401):
-            e = macaulay_expand(a, t)
-            assert e.base == t
-            assert e.value() == a
-            assert all(k > later for k, later in zip(e.tops, e.tops[1:]))
-            assert all(k >= i for k, i in zip(e.tops, e.indices()))
-            assert e.lowest_index >= 1
+            tops = macaulay_expand(a, t)
+            assert _value(tops, t) == a
+            assert all(k > later for k, later in zip(tops, tops[1:]))
+            assert all(k >= i for k, i in zip(tops, range(t, 0, -1)))
+            assert _lowest_index(tops, t) >= 1
 
 
 def test_macaulay_expand_rejects_bad_input():
@@ -50,6 +64,41 @@ def test_macaulay_expand_rejects_bad_input():
         macaulay_expand(5, 0)
     with pytest.raises(ValueError):
         macaulay_expand(-2, 2)
+
+
+# ---------------------------------------------------------------------------
+# the expansion and the lowered chain against their references
+
+
+def _random_pairs(count):
+    """Seeded pairs (a, t) with 1 <= a < 10^40 and 1 <= t <= 60."""
+    rng = random.Random(2013)
+    return [(rng.randrange(1, 10 ** rng.randint(1, 40)), rng.randint(1, 60))
+            for _ in range(count)]
+
+
+def _repeated_minus_minus(a, t):
+    chain = []
+    for s in range(t, 0, -1):
+        a = minus_minus(a, s)
+        chain.append(a)
+    return chain[::-1]
+
+
+def test_macaulay_expand_matches_reference_greedy():
+    for t in range(1, 31):
+        for a in range(1, 501):
+            assert macaulay_expand(a, t) == reference_expand(a, t), (a, t)
+    for a, t in _random_pairs(400):
+        assert macaulay_expand(a, t) == reference_expand(a, t), (a, t)
+
+
+def test_lowered_chain_matches_repeated_minus_minus():
+    for t in range(31):
+        for a in range(501):
+            assert lowered_chain(a, t) == _repeated_minus_minus(a, t), (a, t)
+    for a, t in _random_pairs(200):
+        assert lowered_chain(a, t) == _repeated_minus_minus(a, t), (a, t)
 
 
 @pytest.mark.parametrize("a,t,expected", [
@@ -153,13 +202,13 @@ def test_double_action_identity():
     # correction of k(2) - k(1) when the expansion reaches index 1
     for t in range(2, 9):
         for a in range(1, 501):
-            e = macaulay_expand(a, t)
+            tops = macaulay_expand(a, t)
             back = plus_plus(minus_minus(a, t), t - 1)
-            if e.lowest_index > 1:
+            if _lowest_index(tops, t) > 1:
                 assert back == a
             else:
-                k1 = e.tops[-1]
-                k2 = e.tops[-2] if len(e.tops) >= 2 else None
+                k1 = tops[-1]
+                k2 = tops[-2] if len(tops) >= 2 else None
                 assert k2 is not None  # t >= 2 forces at least two terms
                 assert back == a + k2 - k1
 
@@ -168,9 +217,9 @@ def test_increment_identities():
     # how both operators move when a grows by one
     for t in range(1, 9):
         for a in range(1, 501):
-            e = macaulay_expand(a, t)
-            j = e.lowest_index
-            k1 = e.tops[-1] if j == 1 else 0
+            tops = macaulay_expand(a, t)
+            j = _lowest_index(tops, t)
+            k1 = tops[-1] if j == 1 else 0
             assert plus_plus(a + 1, t) == plus_plus(a, t) + 1 + k1
             if j > 1:
                 assert minus_minus(a + 1, t) == minus_minus(a, t) + 1
@@ -207,8 +256,7 @@ def _writings_below_greedy(a, t, cap):
 def test_alternative_writing_exists_only_for_pure_binomials():
     for t in range(1, 6):
         for a in range(1, 301):
-            e = macaulay_expand(a, t)
-            greedy_top = e.tops[0]
+            greedy_top = macaulay_expand(a, t)[0]
             alternatives = _writings_below_greedy(a, t, greedy_top)
             pure = a == binom(greedy_top, t)
             if pure and greedy_top > t:

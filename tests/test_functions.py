@@ -6,6 +6,8 @@ but fine as an independent cross-check on small ones), and minimality of
 the constructed functions is certified by per-point lowering probes.
 """
 
+import time
+
 import pytest
 
 from minreg.binomials import minus_minus, plus_plus
@@ -228,6 +230,42 @@ def test_minimal_function_structure():
         for t in range(eff, 0, -1):
             assert f(t - 1) == minus_minus(f(t), t)
         assert is_admissible_function(f)
+
+
+CHAIN_FIXTURES = ["5z-3", "9z-7", "12z-24", "12z-25", "15z-24", "2z+2",
+                  "z^2+3z+3", "6z^2-18z+37", "1/3z^3+2z^2+14/3z-4",
+                  "2z^3-6z^2+29z-20"]
+
+
+def _lowers_by_minus_minus(f, top):
+    return all(f(t - 1) == minus_minus(f(t), t) for t in range(top, 0, -1))
+
+
+def test_minimal_function_chains_lower_by_minus_minus():
+    # the carried expansion agrees with one minus_minus per degree along
+    # every chain, for rho up to min(r - 1, 120)
+    for text in CHAIN_FIXTURES:
+        p = poly(text)
+        least = min_function_regularity(p)
+        for rho in range(least, min(p.gotzmann_number - 1, 120) + 1):
+            assert _lowers_by_minus_minus(minimal_function(p, rho), rho)
+            if rho < 1:
+                continue
+            try:
+                f = minimal_function_exact(p, rho)
+            except NotAdmissible:
+                continue
+            assert f.regularity == rho
+            assert _lowers_by_minus_minus(f, rho - 1), (text, rho)
+
+
+def test_minimal_function_time_budget():
+    # re-expanding every value from scratch took about 20 s on a 2-vCPU VM
+    p = poly("2z^3-6z^2+29z-20")
+    start = time.perf_counter()
+    f = minimal_function(p, 1000)
+    assert time.perf_counter() - start < 2.0
+    assert f.regularity == 1000 and f(1000) == p(1000)
 
 
 def test_minimal_function_is_pointwise_minimal():
