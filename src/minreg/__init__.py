@@ -19,7 +19,8 @@ from .errors import (AmbientTooSmall, DegreeMismatch, DomainError, EmptyClass,
                      InputError, InternalInconsistency, LinearVariety,
                      MinregError, NegativeDerivative, NoRemovableTerm,
                      NotAdmissible, NotSaturated, NotSchemeHF, ParseError,
-                     PreconditionViolation, RhoTooSmall, VerificationFailure)
+                     PreconditionViolation, RhoTooSmall, TooManyDigits,
+                     VerificationFailure)
 from .functions import (HilbertFunction, is_admissible_function,
                         is_scheme_function, min_function_regularity,
                         min_scheme_regularity, minimal_function,
@@ -54,6 +55,7 @@ __all__ = [
     "RegularityReport",
     "RhoTooSmall",
     "StronglyStableIdeal",
+    "TooManyDigits",
     "VerificationFailure",
     "VerificationReport",
     "WitnessCertificate",

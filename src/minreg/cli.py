@@ -10,7 +10,8 @@ the recursion trace table.
 Every subcommand takes --json for a machine-readable document with a
 top-level "schema" field.  Exit codes: 0 success, 1 domain errors (an
 empty class, a linear variety, an ambient space that is too small, a
-failed verification), 2 malformed input (a command line the parser
+Gotzmann number with more digits than Python prints, a failed
+verification), 2 malformed input (a command line the parser
 refuses, a certificate file that cannot be read, or a -o file that
 cannot be written), 3 a bug
 (InternalInconsistency, VerificationFailure, or any other exception, any
@@ -23,12 +24,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import lru_cache
 
 from .constructions import (certificate_from_dict, verify_witness,
                             witness_min_reg)
-from .errors import InputError, MinregError
+from .errors import InputError, MinregError, TooManyDigits
 from .functions import (min_function_regularity, min_scheme_regularity,
                         minimal_function, minimal_function_exact,
                         minimal_scheme_function, parse_hilbert_function)
@@ -58,12 +60,32 @@ def _emit(args, payload: dict, lines):
             print(line)
 
 
+def _gotzmann_number(p, n: int) -> int:
+    """n, the Gotzmann number of p, or TooManyDigits, with the digit count,
+    when n has more digits than Python converts to text."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 8^limit < 10^limit, so n has at most `limit` digits below that size.
+    if not limit or n.bit_length() <= 3 * limit:
+        return n
+    digits = int(math.log10(n)) + 1
+    if n >= 10 ** digits:
+        digits += 1
+    elif n < 10 ** (digits - 1):
+        digits -= 1
+    if digits <= limit:
+        return n
+    raise TooManyDigits("the Gotzmann number of %s has %d digits, more than"
+                        " the %d that Python converts to text"
+                        % (p, digits, limit))
+
+
 def _trace_payload(report) -> list:
     rows = []
     for row in report.rows:
         rows.append({
             "polynomial": str(row.polynomial),
-            "gotzmann_number": row.gotzmann_number,
+            "gotzmann_number": _gotzmann_number(row.polynomial,
+                                                row.gotzmann_number),
             "rho": row.min_rho,
             "rho_scheme": row.min_scheme_rho,
             "rho_used": row.rho_used,
@@ -75,9 +97,9 @@ def _trace_payload(report) -> list:
 
 def cmd_gotzmann(args) -> int:
     p = parse_polynomial(args.polynomial)
+    g = _gotzmann_number(p, p.gotzmann_number)
     _emit(args, {"command": "gotzmann", "polynomial": str(p),
-                 "gotzmann_number": p.gotzmann_number},
-          [str(p.gotzmann_number)])
+                 "gotzmann_number": g}, [str(g)])
     return 0
 
 
@@ -141,11 +163,11 @@ def cmd_minreg(args) -> int:
             report = min_regularity_in_space(p, args.ambient)
         else:
             report = min_regularity(p)
-    _emit(args, {"command": "minreg", "polynomial": str(report.polynomial),
-                 "regularity": report.regularity,
-                 "rho_used": report.rho_used,
-                 "trace": _trace_payload(report)},
-          [str(report.regularity)])
+    payload = {"command": "minreg", "polynomial": str(report.polynomial),
+               "regularity": report.regularity, "rho_used": report.rho_used}
+    if _json_mode(args):
+        payload["trace"] = _trace_payload(report)
+    _emit(args, payload, [str(report.regularity)])
     return 0
 
 

@@ -23,8 +23,10 @@ The builders check only what they achieve.  verify_witness, the one check
 on an ideal, runs once per public certificate (as witness_min_reg returns
 it, or as `minreg verify` reads it): minimality, stability, saturation
 and the regularity by divisibility and, when those hold, the Hilbert
-function by the generators' classes and by walking the standard terms.  The
-ideal records trust their builders; certificate_from_dict checks shape.
+function by the generators' classes and by walking the standard terms in
+x1..xn: the ideal is saturated by then, so x0 is a non-zerodivisor and
+each degree's count is the claim's first difference.  The ideal records
+trust their builders; certificate_from_dict checks shape.
 """
 
 from __future__ import annotations
@@ -83,18 +85,25 @@ def certificate_from_dict(payload) -> WitnessCertificate:
     try:
         block = payload["ideal"]
         nvars = _json_int(block["vars"], 1)
-        gens = []
-        for g in block["generators"]:
+        gens = block["generators"]
+        for g in gens:
+            # One pass over a plain list of non-negative ints; anything
+            # else takes the element-wise check, which names the fault.
+            if type(g) is list and len(g) == nvars \
+                    and set(map(type, g)) <= {int} and min(g) >= 0:
+                continue
             if not isinstance(g, list) or len(g) != nvars:
                 raise ValueError("generator %r is not a list of %d"
                                  " exponents" % (g, nvars))
-            gens.append(tuple(_json_int(e, 0) for e in g))
+            for e in g:
+                _json_int(e, 0)
+        gens = frozenset(map(tuple, gens))
         u = parse_hilbert_function(payload["hilbert_function"])
         regularity = _json_int(payload["regularity"])
         log = tuple(str(line) for line in payload.get("log", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("malformed certificate: %s" % exc) from None
-    return WitnessCertificate(StronglyStableIdeal(nvars, frozenset(gens)), u,
+    return WitnessCertificate(StronglyStableIdeal(nvars, gens), u,
                               regularity, log)
 
 
@@ -125,20 +134,24 @@ def _quotients(term):
 
 
 def _standard_counts_match(gens, nvars, claim, limit):
-    """Whether the standard terms of each degree t <= limit number claim(t),
-    by the packed walk that verify_witness describes."""
+    """Whether, for each degree t <= limit, the standard terms in x1..xn
+    of degree t number claim(t) - claim(t-1), by the packed walk that
+    verify_witness describes.  Sound for x0-free generators only."""
     w = max([limit, *map(max, gens)]).bit_length()
     packed = {sum(e << w * i for i, e in enumerate(g) if e) for g in gens}
     # unit[k] = 2^(w*k), made when the walk first reaches x_k: a full table
     # takes w*n^2/2 bits, more than a walk that stops early in degree 1.
-    unit = []
+    # x0 is never walked, so the empty term's top variable is x1.
+    unit = [1]
     level = {} if 0 in packed else {0: ()}
+    before = 0
     for t in range(limit):
-        if len(level) != claim(t):
+        now = claim(t)
+        if len(level) != now - before:
             return False
-        most, found = claim(t + 1), {}
+        most, found, before = claim(t + 1) - now, {}, now
         for s, supp in level.items():
-            top = supp[-1] if supp else 0
+            top = supp[-1] if supp else 1
             for k in range(top, nvars):
                 if k == len(unit):
                     unit.append(1 << w * k)
@@ -154,7 +167,7 @@ def _standard_counts_match(gens, nvars, claim, limit):
                     if len(found) > most:
                         return False
         level = found
-    return len(level) == claim(limit)
+    return len(level) == claim(limit) - before
 
 
 def verify_witness(certificate: WitnessCertificate) -> VerificationReport:
@@ -166,18 +179,24 @@ def verify_witness(certificate: WitnessCertificate) -> VerificationReport:
     generators only.  If those lie in I, so does each adjacent raising of
     a member g*w: a raising of g times w, or g times a raising of w.  And
     a raising x_i -> x_j chains the adjacent ones x_i -> ... -> x_j.
-    The standard terms are walked up to degree regularity + 3: c of
-    degree t+1 is standard iff it is no generator and every c/x_j is, as
-    a generator dividing c properly divides some c/x_j.  Each comes once,
+    The enumeration runs only once the structural checks pass, and so
+    on x0-free generators: then x0^a*c is standard iff c is, and h(t) is
+    the running total of the number of standard terms in x1..xn of degree
+    t.  Those are walked up to degree regularity + 3 and each degree's
+    count is compared with the claim's first difference claim(t) -
+    claim(t-1), which tests exactly the same values.  A term c of degree
+    t+1 is standard iff it is no generator and every c/x_j is, as a
+    generator dividing c properly divides some c/x_j.  Each comes once,
     as (c/x_k)*x_k with x_k its top variable.  A degree stops once it
-    outgrows the claim.  Terms are packed integers, sum e_i * 2^(w*i),
-    with w bits per exponent, enough for every generator and every term
-    up to the walk's degree, so c*x_k is c + 2^(w*k) and c/x_j is
-    c - 2^(w*j).  Each standard term s carries its support, the sorted
-    indices of its variables, so of the quotients of c = s*x_k only the
-    c/x_j for the other variables x_j of s are looked up.  The walk costs
-    about sum_t h(t) * n set lookups for n variables, times the support
-    size at worst.  The "slice formulas" check is
+    outgrows the claim's difference.  Terms are packed integers,
+    sum e_i * 2^(w*i), with w bits per exponent, enough for every
+    generator and every term up to the walk's degree, so c*x_k is
+    c + 2^(w*k) and c/x_j is c - 2^(w*j).  Each standard term s carries
+    its support, the sorted indices of its variables, so of the quotients
+    of c = s*x_k only the c/x_j for the other variables x_j of s are
+    looked up.  The walk costs about sum_t dh(t) * n set lookups for n
+    variables, dh the first difference of h, times the support size at
+    worst.  The "slice formulas" check is
     StronglyStableIdeal.hilbert_function, a sum of binomials over the
     generators by least variable and degree (Eliahou-Kervaire, sound once
     the structural checks pass), the one piece of the constructions that

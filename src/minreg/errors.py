@@ -82,6 +82,11 @@ class AmbientTooSmall(DomainError):
     """No subscheme of the given projective space has this Hilbert polynomial."""
 
 
+class TooManyDigits(DomainError):
+    """An answer has more decimal digits than Python converts to text
+    (sys.get_int_max_str_digits)."""
+
+
 class VerificationFailure(MinregError):
     """witness_min_reg's independent check of its certificate failed."""
 

@@ -11,7 +11,8 @@ slices of the ambient ring, and reference_removal() is the removal by
 them that constructions.remove_minimal_term, which works on generators,
 must agree with, refusals and log included.  reference_verify() is the
 scan verifier that constructions.verify_witness must agree with, check
-for check.
+for check; its count of the standard terms of each degree over the whole
+ambient ring is standard_counts().
 reference_witness() is the paper's chain of expanded liftings down the
 derivative tower, from an artinian lex base, whose ideal
 constructions.witness_min_reg must build in one step.
@@ -177,15 +178,20 @@ def reference_verify(certificate):
 
     checks.append(("hilbert function by slice formulas",
                    ideal.hilbert_function() == certificate.hilbert_function))
-    enumerated = True
-    for t in range(certificate.regularity + 4):
-        count = sum(1 for term in monomial_basis(ideal.nvars, t)
-                    if not ideal.contains(term))
-        if count != certificate.hilbert_function(t):
-            enumerated = False
-            break
+    counts = standard_counts(ideal, certificate.regularity + 4)
+    enumerated = all(count == certificate.hilbert_function(t)
+                     for t, count in enumerate(counts))
     checks.append(("hilbert function by enumeration", enumerated))
     return VerificationReport(tuple(checks))
+
+
+def standard_counts(ideal, stop):
+    """The number of standard terms of each degree t < stop, counted over
+    every monomial of the ambient ring by divisibility; lazily, so that a
+    caller can stop at the first mismatch."""
+    for t in range(stop):
+        yield sum(1 for term in monomial_basis(ideal.nvars, t)
+                  if not any(_divides(g, term) for g in ideal.generators))
 
 
 def artinian_lex_ideal(h):

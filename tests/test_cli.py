@@ -101,15 +101,29 @@ def test_parse_error_exit_code(capsys):
         assert "zero denominator" in err
 
 
+def test_too_many_digits_is_a_domain_error(capsys):
+    # The Gotzmann number of z^10 has 6410 digits, past Python's 4300-digit
+    # int-to-str limit: a domain limit, refused before it is printed.
+    message = ("the Gotzmann number of z^10 has 6410 digits, more than the"
+               " 4300 that Python converts to text")
+    for command in ("gotzmann", "table"):
+        code, out, err = run(capsys, command, "z^10")
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+        code, out, err = run(capsys, command, "z^10", "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"] == {"code": "TooManyDigits",
+                                            "message": message}
+    # minreg prints the number only in its --json trace
+    assert run(capsys, "minreg", "z^10") == (0, "7\n", "")
+    code, out, _ = run(capsys, "minreg", "z^10", "--json")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "TooManyDigits"
+    # 2693 digits still print
+    code, out, _ = run(capsys, "gotzmann", "z^9")
+    assert (code, len(out)) == (0, 2694)
+
+
 def test_bugs_exit_three(capsys, monkeypatch):
-    # a Gotzmann number past Python's 4300-digit int-to-str limit: the
-    # ValueError is reported, not dumped as a traceback
-    code, out, err = run(capsys, "gotzmann", "z^10")
-    assert (code, out) == (3, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    code, out, _ = run(capsys, "gotzmann", "z^10", "--json")
-    assert code == 3
-    assert json.loads(out)["error"]["code"] == "ValueError"
     for error in (InternalInconsistency, VerificationFailure):
         def broken(*args, error=error):
             raise error("broken on purpose")

@@ -1,5 +1,7 @@
 """verify_witness against the scan verifier kept in conftest as the
-reference: both must give the same report, check for check."""
+reference: both must give the same report, check for check.  Its walk
+of the standard terms in x1..xn, _standard_counts_match, is also checked
+alone against conftest's count over the whole ambient ring."""
 
 import json
 import random
@@ -13,13 +15,15 @@ from hypothesis import given, settings, strategies as st
 from minreg.binomials import binom
 from minreg.borel import StronglyStableIdeal
 from minreg.cli import main
-from minreg.constructions import (WitnessCertificate, certificate_from_dict,
-                                  verify_witness, witness_min_reg)
+from minreg.constructions import (WitnessCertificate, _standard_counts_match,
+                                  certificate_from_dict, verify_witness,
+                                  witness_min_reg)
 from minreg.functions import (HilbertFunction, min_scheme_regularity,
                               minimal_scheme_function, parse_hilbert_function)
 from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
 
-from conftest import binomial_coeffs, reference_verify, sweep_classes
+from conftest import (binomial_coeffs, ideal, reference_verify,
+                      standard_counts, sweep_classes)
 
 KINDS = ("stored", "drop", "raise", "value", "regularity")
 
@@ -120,6 +124,80 @@ def test_verifier_at_the_packing_width_boundaries(nvars):
             if nvars > 3:
                 cert = WitnessCertificate(_power_and_tops(2, k), claim, k, ())
             assert report.checks == reference_verify(cert).checks, (nvars, k)
+
+
+def assert_walk_matches_the_count(J):
+    """The walk accepts J's own counts up to regularity + 3, counted over
+    the whole ambient ring, and refuses them moved by one up or down at
+    any one degree."""
+    limit = J.regularity + 3
+    counts = list(standard_counts(J, limit + 1))
+    assert _standard_counts_match(J.generators, J.nvars, counts.__getitem__,
+                                  limit)
+    for t in range(limit + 1):
+        for step in (1, -1):
+            moved = counts[:]
+            moved[t] += step
+            assert not _standard_counts_match(
+                J.generators, J.nvars, moved.__getitem__, limit), (t, step)
+    return counts
+
+
+def raised(term, i, j):
+    return term[:i] + (term[i] - 1,) + term[i + 1:j] + (term[j] + 1,) \
+        + term[j + 1:]
+
+
+def saturated_stable_ideal(nvars, terms):
+    """The ideal generated by the raising closure of x0-free terms, which
+    is strongly stable and, with no x0 in its generators, saturated."""
+    closed, queue = set(), list(terms)
+    while queue:
+        term = queue.pop()
+        if term not in closed:
+            closed.add(term)
+            queue.extend(raised(term, i, j) for i in range(nvars) if term[i]
+                         for j in range(i + 1, nvars))
+    return ideal(nvars, *(c for c in closed if not any(
+        g != c and all(a <= b for a, b in zip(g, c)) for g in closed)))
+
+
+x0_free_terms = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.just(0), *[st.integers(0, 3)] * (n - 1)),
+                         max_size=4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(x0_free_terms)
+def test_walk_matches_the_ambient_count_on_random_ideals(data):
+    nvars, terms = data
+    assert_walk_matches_the_count(saturated_stable_ideal(nvars, terms))
+
+
+def test_walk_matches_the_ambient_count_on_the_sweep():
+    for n, payload in enumerate(sweep_certificates()):
+        cert = certificate_from_dict(payload)
+        counts = assert_walk_matches_the_count(cert.ideal)
+        assert counts == [cert.hilbert_function(t)
+                          for t in range(len(counts))], n
+
+
+def test_walk_edge_cases():
+    # One variable: the zero ideal (x0 alone is standard) and the unit
+    # ideal; the unit ideal in three variables; a power x1^5 with x2.
+    for J in (StronglyStableIdeal(1, frozenset()),
+              StronglyStableIdeal(1, frozenset({(0,)})),
+              StronglyStableIdeal(3, frozenset({(0, 0, 0)})),
+              _power_and_tops(3, 5)):
+        assert_walk_matches_the_count(J)
+    # A claim right up to degree t and one too high from t + 1 on: its
+    # first difference is wrong at t + 1 alone.
+    J = _power_and_tops(3, 5)
+    counts = list(standard_counts(J, 9))
+    for t in range(8):
+        claim = [c + (s > t) for s, c in enumerate(counts)]
+        assert not _standard_counts_match(J.generators, 3,
+                                          claim.__getitem__, 8), t
 
 
 def test_walk_memory_follows_the_walk_not_the_variables():
