@@ -9,8 +9,8 @@ function regularity, for a fixed function, inside a fixed projective
 space) and the constructions module produces ideals achieving it.
 """
 
-from .borel import (BorelSet, StronglyStableIdeal, artinian_lift, borel_leq,
-                    lex_segment_ideal, lgh)
+from .borel import (StronglyStableIdeal, artinian_lift, borel_leq,
+                    lex_segment_ideal)
 from .constructions import (VerificationReport, WitnessCertificate,
                             certificate_from_dict, expanded_lifting,
                             ideal_graft, remove_minimal_term, verify_witness,
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissiblePolynomial",
     "AmbientTooSmall",
-    "BorelSet",
     "DegreeMismatch",
     "DomainError",
     "EmptyClass",
@@ -67,7 +66,6 @@ __all__ = [
     "is_admissible_function",
     "is_scheme_function",
     "lex_segment_ideal",
-    "lgh",
     "min_function_regularity",
     "min_regularity",
     "min_regularity_at",

@@ -13,42 +13,35 @@ regularity.  The Hilbert function of the quotient is read off the
 generators: each member is g*w for exactly one minimal generator g and a
 term w in x0..x_{min_index(g)} (Eliahou-Kervaire).
 
-A slice is split into height classes (by x0-exponent) and growth
-classes (by least variable present).  A growth-height-lexicographic
-(ghl) set takes the lex-first terms of every class, so ghl_set() builds
-it from the class sizes alone, and the normal form lgh() rearranges a
-Borel set into it without changing either partition's sizes; these two
-are the only builders of a slice.  slice_heights() reads the height
-classes back from a Hilbert function and polynomials.slice_growth() the
-growth classes from its tail, so ghl_ideal() builds the ghl slice a
-function asks for and saturates it once (saturate_slice), giving the
-witnesses, grafts, liftings and lex segments.
+A degree-s slice is split into height classes (by x0-exponent) and
+growth classes (by least variable present).  A growth-height-lexicographic
+(ghl) slice takes the lex-first terms of every class, so it is fixed by
+its class sizes alone: slice_heights() reads the height classes back from
+a Hilbert function and polynomials.slice_growth() the growth classes from
+its tail.  ghl_ideal() turns those sizes straight into the minimal
+generators of the slice's saturation, by Macaulay's theorem on lex
+segments, and lists each class of generators, a lex interval, with
+lex_terms(); no slice is built.  It gives the witnesses, grafts, liftings
+and lex segments.
 
-BorelSet and StronglyStableIdeal are plain records that trust their
-callers: every builder here yields a raising-closed set, and an ideal by
-its minimal generators.  Nothing re-checks that on construction; data
-from outside the program is checked once, by
+StronglyStableIdeal is a plain record that trusts its callers: every
+builder here gives an ideal by its minimal generators.  Nothing re-checks
+that on construction; data from outside the program is checked once, by
 constructions.verify_witness.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice
+from itertools import accumulate
 
-from .binomials import binom
+from .binomials import binom, plus_plus
 from .errors import (DegreeMismatch, InternalInconsistency, LinearVariety,
                      NotSaturated)
 from .functions import HilbertFunction, minimal_function
 from .polynomials import AdmissiblePolynomial, quotient_tail, slice_growth
-
-Term = tuple
-
-
-def term_degree(term) -> int:
-    return sum(term)
-
 
 def min_index(term):
     """Index of the least variable dividing the term; None for the unit."""
@@ -62,11 +55,6 @@ def ek_index(term):
     """Eliahou-Kervaire index: min_index, or n for the unit term."""
     i = min_index(term)
     return len(term) - 1 if i is None else i
-
-
-def lex_key(term):
-    """Sort key for lex among equal degrees: compare top variables first."""
-    return tuple(reversed(term))
 
 
 def deglex_key(term):
@@ -96,16 +84,54 @@ def basis_size(nvars: int, degree: int) -> int:
     return binom(degree + nvars - 1, degree) if nvars else int(degree == 0)
 
 
-def monomial_basis(nvars: int, degree: int):
-    """All degree-d terms in nvars variables, lex-descending, generated
-    lazily from the multisets of variable indices taken top first."""
-    if degree < 0:
+def _unrank(nvars: int, low: int, degree: int, rank: int) -> list:
+    """The degree-d term of the given rank among those in x_low..x_n,
+    n = nvars - 1, listed lex-descending, as a list of nvars exponents.
+    The ranks whose top variable x_v has exponent at least d - j number
+    basis_size(v - low + 1, j), so each exponent is found by bisection,
+    top variable first, until the rest of the rank is 0: the first term,
+    which puts the remaining degree on the top variable left."""
+    term = [0] * nvars
+    top, rest = nvars - 1, degree
+    while rank:
+        k = top - low + 1
+        j = bisect_right(range(rest + 1), rank,
+                         key=lambda j: basis_size(k, j))
+        term[top] = rest - j
+        rank -= basis_size(k, j - 1)
+        top, rest = top - 1, j
+    term[top] = rest
+    return term
+
+
+def lex_terms(nvars: int, low: int, degree: int, lo: int, hi: int,
+              bump: int = 0):
+    """x_low^bump times each term of rank lo..hi-1 among the degree-d
+    terms in x_low..x_n, n = nvars - 1, listed lex-descending (top
+    variable first), as nvars-tuples; none when lo >= hi.
+
+    Rank lo is unranked once.  Each next term is the one before, changed
+    in place: with x_p the least variable above x_low in it, one factor
+    x_p becomes x_(p-1), and if p - 1 > low every factor x_low moves up
+    to x_(p-1) with it."""
+    if lo >= hi:
         return
-    for indices in combinations_with_replacement(range(nvars - 1, -1, -1),
-                                                 degree):
-        term = [0] * nvars
-        for i in indices:
-            term[i] += 1
+    term = _unrank(nvars, low, degree, lo)
+    term[low] += bump
+    yield tuple(term)
+    p = low + 1
+    for _ in range(hi - lo - 1):
+        # x_(low+1)..x_(p-1) are absent, and a term with a successor has
+        # a variable above x_low
+        while not term[p]:
+            p += 1
+        term[p] -= 1
+        if p - 1 > low:
+            term[p - 1] = term[low] - bump + 1
+            term[low] = bump
+            p -= 1
+        else:
+            term[low] += 1
         yield tuple(term)
 
 
@@ -129,80 +155,6 @@ def borel_leq(a, b) -> bool:
 
 
 @dataclass(frozen=True)
-class BorelSet:
-    """A raising-closed set of equal-degree terms.  A trusted record:
-    nothing checks the closure here; verify_witness is the check."""
-
-    nvars: int
-    degree: int
-    terms: frozenset
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(sorted(self.terms, key=lex_key, reverse=True))
-
-    def __contains__(self, term):
-        return term in self.terms
-
-    def growth_vector(self):
-        """Class sizes by least variable present, indices 0..n."""
-        counts = [0] * self.nvars
-        for term in self.terms:
-            counts[min_index(term)] += 1
-        return tuple(counts)
-
-    def height_vector(self):
-        """Class sizes by x0-exponent, indices 0..degree."""
-        counts = [0] * (self.degree + 1)
-        for term in self.terms:
-            counts[term[0]] += 1
-        return tuple(counts)
-
-
-def ghl_set(nvars: int, degree: int, growth, heights) -> BorelSet:
-    """The growth-height-lexicographic set with the given class sizes.
-
-    Takes the lex-first growth[i] x0-free terms with least variable x_i
-    for i >= 1 and the lex-first heights[j] terms with x0-exponent j for
-    j >= 1; growth[0] and heights[0] follow from the others.  Class i is
-    x_i times the terms in x_i..x_n of degree s - 1, class j is x0^j
-    times the terms in x1..x_n of degree s - j, both generated in lex
-    order up to the last kept term.
-    """
-    picked = []
-
-    def take(name, index, size, length, cls):
-        if not 0 <= size <= length:
-            raise InternalInconsistency("%s class %d wants %d of %d terms"
-                                        % (name, index, size, length))
-        picked.extend(islice(cls, size))
-
-    for i in range(1, nvars):
-        take("growth", i, growth[i], basis_size(nvars - i, degree - 1),
-             ((0,) * i + (t[0] + 1,) + t[1:]
-              for t in monomial_basis(nvars - i, degree - 1)))
-    for j in range(1, degree + 1):
-        take("height", j, heights[j], basis_size(nvars - 1, degree - j),
-             ((j,) + t for t in monomial_basis(nvars - 1, degree - j)))
-    return BorelSet(nvars, degree, frozenset(picked))
-
-
-def lgh(B: BorelSet) -> BorelSet:
-    """Rearrange a Borel set into lex segments class by class.
-
-    The x0-free part is redistributed along the growth classes, the rest
-    along the height classes; both partitions keep their sizes, so the
-    saturation of the generated ideal keeps its Hilbert function while its
-    generators move into the lex-first positions of every class.
-    """
-    if B.degree == 0 or not B.terms:
-        return B
-    return ghl_set(B.nvars, B.degree, B.growth_vector(), B.height_vector())
-
-
-@dataclass(frozen=True)
 class StronglyStableIdeal:
     """Monomial ideal closed under raising moves, held by its minimal
     generators.  A trusted record: the caller vouches for both, and
@@ -214,7 +166,7 @@ class StronglyStableIdeal:
     @property
     def regularity(self) -> int:
         """Maximal degree of the minimal generators (0 for the zero ideal)."""
-        return max((term_degree(g) for g in self.generators), default=0)
+        return max((sum(g) for g in self.generators), default=0)
 
     @property
     def is_saturated(self) -> bool:
@@ -222,9 +174,6 @@ class StronglyStableIdeal:
 
     def sorted_generators(self):
         return sorted(self.generators, key=deglex_key)
-
-    def contains(self, term) -> bool:
-        return any(divides(g, term) for g in self.generators)
 
     def hilbert_function(self) -> HilbertFunction:
         """Hilbert function of the saturated quotient: a generator of
@@ -234,7 +183,7 @@ class StronglyStableIdeal:
         if not self.is_saturated:
             raise NotSaturated("saturate before asking for the"
                                " Hilbert function")
-        classes = Counter((ek_index(g), term_degree(g))
+        classes = Counter((ek_index(g), sum(g))
                           for g in self.generators)
         prefix = [basis_size(self.nvars, t)
                   - sum(count * basis_size(i + 1, t - d)
@@ -264,42 +213,66 @@ def slice_heights(f: HilbertFunction, degree: int, nvars: int):
                  for d in range(degree, -1, -1))
 
 
-def saturate_slice(B: BorelSet) -> StronglyStableIdeal:
-    """Saturation of the ideal generated by a Borel set of degree s.
-
-    A term v of degree d <= s lies in the saturation iff v*x0^(s-d) lies
-    in B, so stripping x0 from the members of B lists every x0-free member
-    of degree at most s, and those generate.  By Eliahou-Kervaire such a
-    member u is a minimal generator iff u / x_{min_index(u)} is not in the
-    saturation, that is iff lowering the least non-x0 variable of its term
-    in B to x0 leaves B.
-    """
-    gens = []
-    for term in B.terms:
-        stripped = (0,) + term[1:]
-        i = min_index(stripped)
-        if i is None:
-            # x0^s is in B, so B holds every term and saturates to (1)
-            return StronglyStableIdeal(B.nvars, frozenset({stripped}))
-        lowered = list(term)
-        lowered[0] += 1
-        lowered[i] -= 1
-        if tuple(lowered) not in B.terms:
-            gens.append(stripped)
-    return StronglyStableIdeal(B.nvars, frozenset(gens))
+def _share_at_or_above(w, low: int) -> int:
+    """How many of the terms at or above w, among the terms of its degree
+    in x1..xn listed lex-descending, lie in x_low..x_n.  The last of those
+    keeps w's exponents above x_low and puts the rest on x_low; for each
+    v > low, basis_size(v - low + 1, e - 1) terms in x_low..x_n agree
+    with it above x_v and exceed it at x_v, e the degree of w below x_v."""
+    below = list(accumulate(w))
+    return 1 + sum(basis_size(v - low + 1, below[v - 1] - 1)
+                   for v in range(low + 1, len(w)))
 
 
 def ghl_ideal(f: HilbertFunction, degree: int,
               nvars: int) -> StronglyStableIdeal:
-    """The saturation of the ghl set of degree s = `degree` in nvars
-    variables with the growth classes of f's tail (slice_growth) and the
-    height classes of its values (slice_heights).  When a saturated
-    strongly stable ideal J generated in degree <= s has quotient
-    function f, that set is lgh of J's degree-s slice, as both have J's
-    class sizes, so the result has quotient function f too."""
-    return saturate_slice(ghl_set(nvars, degree,
-                                  slice_growth(f.tail, degree, nvars),
-                                  slice_heights(f, degree, nvars)))
+    """The saturation of the ghl slice of degree s = `degree` >= 1 in
+    nvars = n + 1 variables whose growth classes fit f's tail
+    (slice_growth) and height classes its values (slice_heights), read
+    off those class sizes.  When a saturated strongly stable ideal
+    generated in degree <= s has quotient function f, its degree-s slice
+    has those class sizes, so the result has quotient function f.
+
+    The saturation is (1) if x0^s is in the slice (heights[s] = 1).
+    Else v of degree d is a member iff x0^(s-d)*v is in the slice, and a
+    minimal generator iff v / x_min(v) is no member (Eliahou-Kervaire).
+    Ranks count from 0 in the lex-descending list of one degree's terms:
+
+    * degree 1 <= d < s: the members are the first H_d = heights[s-d]
+      terms in x1..xn, and the multiples of those of degree d-1 the first
+      M_d: by Macaulay a lex segment of codimension c generates one of
+      codimension c^<d-1> one degree up.  So M_1 = 0 and M_d = N_d -
+      plus_plus(N_(d-1) - H_(d-1), d-1), N_d = basis_size(n, d), and the
+      generators are ranks M_d..H_d-1;
+    * degree s, growth class i = 1..n: the members are x_i times the
+      first growth[i] terms of degree s-1 in x_i..x_n, and the generators
+      x_i times ranks K_i..growth[i]-1 of those, K_i the number of terms
+      in x_i..x_n among the heights[1] members of degree s-1.
+    """
+    m, n = degree, nvars - 1
+    growth = slice_growth(f.tail, m, nvars)
+    heights = slice_heights(f, m, nvars)
+    classes = [("growth", i, growth[i], basis_size(nvars - i, m - 1))
+               for i in range(1, nvars)]
+    classes += [("height", j, heights[j], basis_size(n, m - j))
+                for j in range(1, m + 1)]
+    for name, index, size, length in classes:
+        if not 0 <= size <= length:
+            raise InternalInconsistency("%s class %d wants %d of %d terms"
+                                        % (name, index, size, length))
+    if heights[m]:
+        return StronglyStableIdeal(nvars, frozenset({(0,) * nvars}))
+    gens, multiples = [], 0
+    for d in range(1, m):
+        gens.extend(lex_terms(nvars, 1, d, multiples, heights[m - d]))
+        multiples = basis_size(n, d + 1) - plus_plus(
+            basis_size(n, d) - heights[m - d], d)
+    last = _unrank(nvars, 1, m - 1, heights[1] - 1) if heights[1] else None
+    for i in range(1, nvars):
+        if growth[i]:
+            known = 0 if last is None else _share_at_or_above(last, i)
+            gens.extend(lex_terms(nvars, i, m - 1, known, growth[i], 1))
+    return StronglyStableIdeal(nvars, frozenset(gens))
 
 
 def artinian_lift(A: StronglyStableIdeal) -> StronglyStableIdeal:

@@ -16,7 +16,7 @@ work on generators and class sizes:
 
 The last two, like witness_min_reg, are one borel.ghl_ideal call on the
 target function (the lift's growth classes differ from the target's only
-in class 0, which ghl_set does not read).  witness_min_reg makes it at
+in class 0, which ghl_ideal does not read).  witness_min_reg makes it at
 the least regularity that the descent of the regularity module
 computes, and so realizes the minimal regularity in its class.
 The builders check only what they achieve.  verify_witness, the one check
@@ -33,11 +33,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 
 from .borel import (StronglyStableIdeal, artinian_lift, degrevlex_key,
-                    divides, ek_index, ghl_ideal, monomial_basis,
-                    slice_heights, term_degree, term_string)
+                    divides, ek_index, ghl_ideal, lex_terms, slice_heights,
+                    term_string)
 from .errors import (InputError, InternalInconsistency, LinearVariety,
                      NoRemovableTerm, NotSchemeHF, PreconditionViolation,
                      VerificationFailure)
@@ -273,7 +272,7 @@ def remove_minimal_term(J: StronglyStableIdeal, s: int,
     if not 0 <= t_bar < s:
         raise PreconditionViolation(
             "need 0 <= t_bar < s, got t_bar=%d s=%d" % (t_bar, s))
-    candidates = [v for v in J.generators if term_degree(v) == t_bar]
+    candidates = [v for v in J.generators if sum(v) == t_bar]
     if not candidates:
         raise NoRemovableTerm(
             "no minimal term with x0-exponent %d in the degree-%d slice"
@@ -347,10 +346,10 @@ def expanded_lifting(f: HilbertFunction,
         raise InternalInconsistency(
             "the slice for %s is not inside the lifted slice" % f)
     for j in range(m, 0, -1):
-        gone = islice(monomial_basis(nvars - 1, m - j), heights[j], start[j])
+        gone = lex_terms(nvars, 1, m - j, heights[j], start[j])
         for t in reversed(list(gone)):
             log.append("removed %s (gap at degree %d)"
-                       % (term_string((j,) + t), m - j))
+                       % (term_string((j,) + t[1:]), m - j))
     achieved = ideal.hilbert_function()
     if achieved != f:
         raise InternalInconsistency(

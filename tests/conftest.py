@@ -6,8 +6,16 @@ pass/fail verdicts survive output capturing.
 
 ideal() builds the hand-written fixture ideals.  StronglyStableIdeal
 trusts its caller, so ideal() checks each fixture by raw divisibility
-first.  degree_slice(), saturation() and minimal_terms() work on whole
-slices of the ambient ring, and reference_removal() is the removal by
+first, and contains() is membership by divisibility.
+monomial_basis() lists every term of a degree, lex-descending, and
+BorelSet holds a slice term by term.  ghl_set() lists the ghl set with
+given class sizes, lgh() rearranges a Borel set into it, and
+saturate_slice() saturates the ideal a Borel set generates, by its
+members; reference_ghl_ideal() chains them into the slice-by-slice build
+that borel.ghl_ideal, which reads the generators off the class sizes,
+must agree with.  degree_slice(), saturation() and minimal_terms() work
+on whole slices of the ambient ring, and reference_removal() is the
+removal by
 them that constructions.remove_minimal_term, which works on generators,
 must agree with, refusals and log included.  reference_verify() is the
 scan verifier that constructions.verify_witness must agree with, check
@@ -29,25 +37,30 @@ them that AdmissiblePolynomial.at_least_from must agree with.
 binomial_coeffs() gives C(z + shift, k) in those coefficients, and
 reference_str() is the Fraction printer built on it that
 AdmissiblePolynomial.__str__ must agree with, byte for byte.
+writings is the hypothesis strategy of random Gotzmann writings, and
+from_writing() gives a writing's polynomial in those coefficients.
 """
 
 import json
 import math
 import os
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, islice
 
 import pytest
+from hypothesis import strategies as st
 
 from minreg.binomials import binom
-from minreg.borel import (BorelSet, StronglyStableIdeal, artinian_lift,
-                          degrevlex_key, ek_index, monomial_basis,
-                          saturate_slice, term_string)
+from minreg.borel import (StronglyStableIdeal, artinian_lift, basis_size,
+                          degrevlex_key, ek_index, min_index, slice_heights,
+                          term_string)
 from minreg.constructions import (VerificationReport, WitnessCertificate,
                                   expanded_lifting)
 from minreg.errors import (InternalInconsistency, NoRemovableTerm,
                            NotAdmissible, PreconditionViolation)
 from minreg.functions import HilbertFunction, descent_step
-from minreg.polynomials import polynomial_from_coefficients
+from minreg.polynomials import polynomial_from_coefficients, slice_growth
 
 
 SWEEP = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -61,6 +74,121 @@ def sweep_classes():
 
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
+
+
+def contains(J, term):
+    """Whether some generator of J divides the term."""
+    return any(_divides(g, term) for g in J.generators)
+
+
+def lex_key(term):
+    """Sort key for lex among equal degrees: compare top variables first."""
+    return tuple(reversed(term))
+
+
+def monomial_basis(nvars, degree):
+    """All degree-d terms in nvars variables, lex-descending, generated
+    lazily from the multisets of variable indices taken top first."""
+    if degree < 0:
+        return
+    for indices in combinations_with_replacement(range(nvars - 1, -1, -1),
+                                                 degree):
+        term = [0] * nvars
+        for i in indices:
+            term[i] += 1
+        yield tuple(term)
+
+
+@dataclass(frozen=True)
+class BorelSet:
+    """A set of equal-degree terms, raising-closed when its builder makes
+    it so; nothing checks that."""
+
+    nvars: int
+    degree: int
+    terms: frozenset
+
+    def __len__(self):
+        return len(self.terms)
+
+    def __iter__(self):
+        return iter(sorted(self.terms, key=lex_key, reverse=True))
+
+    def __contains__(self, term):
+        return term in self.terms
+
+    def growth_vector(self):
+        """Class sizes by least variable present, indices 0..n."""
+        counts = [0] * self.nvars
+        for term in self.terms:
+            counts[min_index(term)] += 1
+        return tuple(counts)
+
+    def height_vector(self):
+        """Class sizes by x0-exponent, indices 0..degree."""
+        counts = [0] * (self.degree + 1)
+        for term in self.terms:
+            counts[term[0]] += 1
+        return tuple(counts)
+
+
+def ghl_set(nvars, degree, growth, heights):
+    """The growth-height-lexicographic set with the given class sizes: the
+    lex-first growth[i] x0-free terms with least variable x_i for i >= 1
+    and the lex-first heights[j] terms with x0-exponent j for j >= 1,
+    listed term by term from monomial_basis."""
+    picked = []
+
+    def take(name, index, size, length, cls):
+        if not 0 <= size <= length:
+            raise InternalInconsistency("%s class %d wants %d of %d terms"
+                                        % (name, index, size, length))
+        picked.extend(islice(cls, size))
+
+    for i in range(1, nvars):
+        take("growth", i, growth[i], basis_size(nvars - i, degree - 1),
+             ((0,) * i + (t[0] + 1,) + t[1:]
+              for t in monomial_basis(nvars - i, degree - 1)))
+    for j in range(1, degree + 1):
+        take("height", j, heights[j], basis_size(nvars - 1, degree - j),
+             ((j,) + t for t in monomial_basis(nvars - 1, degree - j)))
+    return BorelSet(nvars, degree, frozenset(picked))
+
+
+def lgh(B):
+    """Rearrange a Borel set into lex segments class by class, keeping the
+    sizes of both partitions."""
+    if B.degree == 0 or not B.terms:
+        return B
+    return ghl_set(B.nvars, B.degree, B.growth_vector(), B.height_vector())
+
+
+def saturate_slice(B):
+    """Saturation of the ideal generated by a Borel set of degree s, by
+    its members: a term v of degree d <= s is in it iff v*x0^(s-d) is in
+    B, and such a v is a minimal generator iff v / x_min(v) is not, that
+    is iff lowering the least non-x0 variable of its term in B to x0
+    leaves B."""
+    gens = []
+    for term in B.terms:
+        stripped = (0,) + term[1:]
+        i = min_index(stripped)
+        if i is None:
+            # x0^s is in B, so B holds every term and saturates to (1)
+            return StronglyStableIdeal(B.nvars, frozenset({stripped}))
+        lowered = list(term)
+        lowered[0] += 1
+        lowered[i] -= 1
+        if tuple(lowered) not in B.terms:
+            gens.append(stripped)
+    return StronglyStableIdeal(B.nvars, frozenset(gens))
+
+
+def reference_ghl_ideal(f, s, nvars):
+    """borel.ghl_ideal by whole slices: the saturation of the ghl set of
+    degree s whose class sizes fit f."""
+    return saturate_slice(ghl_set(nvars, s, slice_growth(f.tail, s, nvars),
+                                  slice_heights(f, s, nvars)))
 
 
 def ideal(nvars, *gens):
@@ -165,7 +293,7 @@ def reference_verify(certificate):
                 raised = list(g)
                 raised[i] -= 1
                 raised[j] += 1
-                if not ideal.contains(tuple(raised)):
+                if not contains(ideal, tuple(raised)):
                     stable = False
     checks.append(("strongly stable", stable))
     checks.append(("saturated", ideal.is_saturated))
@@ -246,6 +374,20 @@ def reference_witness(u):
     log = section_log + ("section fitted at regularity %d" % fit,) \
         + lifted.log
     return WitnessCertificate(lifted.ideal, u, lifted.regularity, log)
+
+
+# Random Gotzmann writings: non-increasing lists of run degrees, which
+# from_writing turns into the ascending coefficients of a polynomial.
+writings = st.lists(st.integers(0, 4), min_size=2, max_size=14).map(
+    lambda degrees: sorted(degrees, reverse=True))
+
+
+def from_writing(writing):
+    """Ascending coefficients of sum_i C(z + k_i - (i - 1), k_i)."""
+    coeffs = ()
+    for i, k in enumerate(writing):
+        coeffs = poly_add(coeffs, binomial_coeffs(k, k - i))
+    return coeffs
 
 
 def _trim(coeffs):

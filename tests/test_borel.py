@@ -1,28 +1,34 @@
 """Tests for Borel sets, strongly stable ideals and the lex normal form."""
 
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings
 
 from minreg.binomials import binom
-from minreg.borel import (BorelSet, StronglyStableIdeal, artinian_lift,
-                          borel_leq, degrevlex_key, deglex_key, divides,
-                          ghl_ideal, lex_key, lex_segment_ideal, lgh,
-                          min_index, monomial_basis, saturate_slice,
+from minreg.borel import (StronglyStableIdeal, artinian_lift, borel_leq,
+                          degrevlex_key, deglex_key, divides, ghl_ideal,
+                          lex_segment_ideal, lex_terms, min_index,
                           term_string)
-from minreg.errors import DegreeMismatch, NotSaturated
-from minreg.functions import HilbertFunction, minimal_function
-from minreg.polynomials import parse_polynomial
+from minreg.errors import DegreeMismatch, NotAdmissible, NotSaturated
+from minreg.functions import (HilbertFunction, min_scheme_regularity,
+                              minimal_function, minimal_scheme_function,
+                              parse_hilbert_function)
+from minreg.polynomials import (AdmissiblePolynomial, parse_polynomial,
+                                polynomial_from_coefficients)
+from minreg.regularity import min_regularity_of_function
 
-from conftest import (artinian_lex_ideal, degree_slice, ideal,
-                      minimal_terms, partial_sums, saturation)
+from conftest import (BorelSet, artinian_lex_ideal, contains, degree_slice,
+                      from_writing, ideal, lex_key, lgh, minimal_terms,
+                      monomial_basis, partial_sums, reference_ghl_ideal,
+                      saturate_slice, saturation, sweep_classes, writings)
 from test_verifier import budget
 
 
 def brute_quotient_dimension(J, t):
     return sum(1 for term in monomial_basis(J.nvars, t)
-               if not J.contains(term))
+               if not contains(J, term))
 
 
 # The running five-variable example: a strongly stable ideal whose
@@ -235,8 +241,8 @@ def test_lgh_invariants_on_random_sets():
 def test_regularity_and_membership():
     top = ideal(3, (0, 0, 1))
     assert top.regularity == 1
-    assert top.contains((2, 0, 1))
-    assert not top.contains((2, 1, 0))
+    assert contains(top, (2, 0, 1))
+    assert not contains(top, (2, 1, 0))
     assert CROOKED.regularity == 5
 
 
@@ -249,7 +255,7 @@ def test_degree_slice_contents():
         for t in range(J.regularity + 2):
             assert degree_slice(J, t).terms == frozenset(
                 term for term in monomial_basis(J.nvars, t)
-                if J.contains(term)), (J, t)
+                if contains(J, term)), (J, t)
 
 
 def test_saturation():
@@ -301,8 +307,8 @@ def test_truncation():
     cut = StronglyStableIdeal(5, frozenset(
         g for g in STRAIGHTENED.generators if sum(g) <= 3))
     assert cut.regularity == 3
-    assert cut.contains((0, 0, 0, 3, 0))
-    assert not cut.contains((0, 0, 5, 0, 0))
+    assert contains(cut, (0, 0, 0, 3, 0))
+    assert not contains(cut, (0, 0, 5, 0, 0))
 
 
 def test_artinian_lift():
@@ -360,3 +366,108 @@ def test_artinian_lex_ideal_lifts_to_its_running_sums():
     lifted = ghl_ideal(partial_sums(h), 7, 3)
     assert lifted == artinian_lift(artinian_lex_ideal(h))
     assert lifted.hilbert_function() == partial_sums(h)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+def test_lex_terms_lists_every_rank_interval(nvars):
+    for degree in range(7):
+        basis = list(monomial_basis(nvars, degree))
+        for lo in range(len(basis) + 1):
+            for hi in range(lo, len(basis) + 1):
+                assert list(lex_terms(nvars, 0, degree, lo, hi)) \
+                    == basis[lo:hi], (degree, lo, hi)
+
+
+def test_lex_terms_in_the_top_variables_times_a_power_of_the_least():
+    for nvars in range(1, 6):
+        for low in range(nvars):
+            for degree in range(5):
+                for bump in range(3):
+                    expected = [(0,) * low + (t[0] + bump,) + t[1:]
+                                for t in monomial_basis(nvars - low, degree)]
+                    for lo in range(len(expected) + 1):
+                        assert list(lex_terms(nvars, low, degree, lo,
+                                              len(expected), bump)) \
+                            == expected[lo:]
+    assert list(lex_terms(3, 1, 2, 2, 2)) == []
+    assert list(lex_terms(3, 1, 2, 3, 1)) == []
+
+
+def test_ghl_ideal_matches_the_slices_on_the_sweep():
+    for cls in sweep_classes():
+        u = parse_hilbert_function(cls["function"])
+        m, nvars = cls["certificate"]["regularity"], u(1)
+        for s in (m, m + 1, m + 2):
+            assert ghl_ideal(u, s, nvars) == reference_ghl_ideal(u, s, nvars)
+
+
+def lex_grid():
+    """Every admissible polynomial with 2 <= r <= 42 among the
+    coordinates (a0,), (a0, a1) and a grid of (a0, a1, a2): all of
+    degree at most 1, and those of degree 2 on a grid small enough for
+    the reference, which lists up to C(45, 3) terms per slice."""
+    grid = [(a,) for a in range(2, 43)]
+    grid += list(product(range(-900, 43), range(1, 43)))
+    grid += list(product(range(-10, 11), range(-4, 5), (1,)))
+    for coordinates in grid:
+        p = AdmissiblePolynomial(coordinates)
+        try:
+            r = p.gotzmann_number
+        except NotAdmissible:
+            continue
+        if 2 <= r <= 42:
+            yield p
+
+
+def test_lex_segment_ideal_matches_the_slices_on_a_grid():
+    count = 0
+    for p in lex_grid():
+        r = p.gotzmann_number
+        f = minimal_function(p, r - 1)
+        assert lex_segment_ideal(p) == reference_ghl_ideal(f, r, f(1)), p
+        count += 1
+    assert count > 1000
+
+
+def k_family(k):
+    """1, 3, 4, ..., k-1 ; k, the function of (x1*x2, x2^2, x1^(k-1))."""
+    return parse_hilbert_function(
+        ",".join(["1"] + [str(i) for i in range(3, k)]) + " ; %d" % k)
+
+
+def test_ghl_ideal_matches_the_slices_on_the_k_family():
+    # The reference lists about k^2/2 terms for k; every k up to 60, and
+    # three larger ones.
+    for k in list(range(4, 61)) + [100, 150, 200]:
+        u = k_family(k)
+        m = min_regularity_of_function(u).regularity
+        assert m == k - 1
+        assert ghl_ideal(u, m, 3) == reference_ghl_ideal(u, m, 3), k
+
+
+@settings(max_examples=40, deadline=None)
+@given(writings)
+def test_ghl_ideal_matches_the_slices_on_random_writings(writing):
+    p = polynomial_from_coefficients(from_writing(writing))
+    u = minimal_scheme_function(p, min_scheme_regularity(p))
+    m = min_regularity_of_function(u).regularity
+    for s in (m, m + 1):
+        assert ghl_ideal(u, s, u(1)) == reference_ghl_ideal(u, s, u(1))
+
+
+def test_ghl_ideal_follows_the_generators_not_the_slice():
+    # The degree-799 slice has about 320,000 terms; building it and
+    # saturating it took over 10 s.
+    u = k_family(800)
+    with budget(1):
+        J = ghl_ideal(u, 799, 3)
+    assert J == ideal(3, (0, 1, 1), (0, 0, 2), (0, 799, 0))
+
+
+def test_lex_segment_ideal_with_a_huge_slice_ends():
+    # Its degree-678 slice has about 5*10^7 terms.
+    p = parse_polynomial("6z^2-18z+37")
+    with budget(5):
+        L = lex_segment_ideal(p)
+    assert L.regularity == p.gotzmann_number == 678
+    assert L.hilbert_function() == minimal_function(p, 677)

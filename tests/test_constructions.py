@@ -5,9 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from minreg.borel import (BorelSet, StronglyStableIdeal, artinian_lift,
-                          degrevlex_key, ghl_set, lex_key, lgh,
-                          saturate_slice, slice_heights, term_string)
+from minreg.borel import (StronglyStableIdeal, artinian_lift, degrevlex_key,
+                          slice_heights, term_string)
 from minreg.constructions import (WitnessCertificate, certificate_from_dict,
                                   expanded_lifting, ideal_graft,
                                   remove_minimal_term, verify_witness,
@@ -21,10 +20,11 @@ from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
 from minreg.regularity import min_regularity, min_regularity_at
 
 import conftest
-from conftest import (degree_slice, ideal, minimal_terms, reference_removal,
-                      reference_witness, saturation, sweep_classes)
+from conftest import (BorelSet, degree_slice, from_writing, ghl_set, ideal,
+                      lex_key, lgh, minimal_terms, reference_removal,
+                      reference_witness, saturate_slice, saturation,
+                      sweep_classes, writings)
 from test_borel import random_borel_set
-from test_polynomials import _from_writing, writings
 
 
 def poly(text):
@@ -304,7 +304,7 @@ def test_witness_is_the_end_of_the_lifting_chain():
 @settings(max_examples=40, deadline=None)
 @given(writings)
 def test_random_witnesses(writing):
-    p = polynomial_from_coefficients(_from_writing(writing))
+    p = polynomial_from_coefficients(from_writing(writing))
     u = minimal_scheme_function(p, min_scheme_regularity(p))
     cert = witness_min_reg(u)
     assert cert.ideal == reference_witness(u).ideal

@@ -22,9 +22,9 @@ from minreg.polynomials import (AdmissiblePolynomial, parse_coefficients,
                                 polynomial_from_coefficients, quotient_tail,
                                 slice_growth)
 
-from conftest import (binomial_coeffs, interpolate, poly_add, poly_eval,
-                      poly_nonnegative_from, poly_scale, poly_sub,
-                      reference_str)
+from conftest import (binomial_coeffs, from_writing, interpolate, poly_add,
+                      poly_eval, poly_nonnegative_from, poly_scale, poly_sub,
+                      reference_str, writings)
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +246,6 @@ def test_interpolate_recovers_cubic():
 # random Gotzmann writings
 
 
-writings = st.lists(st.integers(0, 4), min_size=2, max_size=14).map(
-    lambda degrees: sorted(degrees, reverse=True))
-
-
-def _from_writing(writing):
-    """Ascending coefficients of sum_i C(z + k_i - (i - 1), k_i)."""
-    coeffs = ()
-    for i, k in enumerate(writing):
-        coeffs = poly_add(coeffs, binomial_coeffs(k, k - i))
-    return coeffs
-
-
 def _runs(writing):
     return tuple((k, len(list(group))) for k, group in groupby(writing))
 
@@ -265,7 +253,7 @@ def _runs(writing):
 @settings(max_examples=60, deadline=None)
 @given(writings)
 def test_random_writings(writing):
-    p = polynomial_from_coefficients(_from_writing(writing))
+    p = polynomial_from_coefficients(from_writing(writing))
     assert str(p) == reference_str(p)
     assert parse_polynomial(str(p)) == p
     assert p.runs == _runs(writing)

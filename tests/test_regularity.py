@@ -2,6 +2,7 @@
 ambient-constrained variant."""
 
 import pytest
+from hypothesis import given, settings
 
 from minreg.errors import (AmbientTooSmall, EmptyClass, LinearVariety,
                            NotSchemeHF)
@@ -11,6 +12,8 @@ from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
 from minreg.regularity import (min_regularity, min_regularity_at,
                                min_regularity_in_space,
                                min_regularity_of_function)
+
+from conftest import from_writing, writings
 
 
 def poly(text):
@@ -136,29 +139,41 @@ def test_trace_structure():
         assert bounds == sorted(bounds, reverse=True)
 
 
-def test_bounds_and_monotonicity():
+def check_bounds_and_monotonicity(p):
     """m is between M + 1 and M + 2, where M is the largest of the
     function regularity and the scheme minima of all derivatives, and m
-    never decreases as the requested regularity grows."""
+    never decreases as the requested regularity grows, for rho from the
+    scheme minimum up to 5 more.  min_regularity_at itself raises when
+    its closed form and its descent disagree."""
+    floor = min_scheme_regularity(p)
+    last = None
+    for rho in range(floor, min(p.gotzmann_number - 1, floor + 5) + 1):
+        try:
+            report = min_regularity_at(p, rho)
+        except EmptyClass:
+            continue
+        m = report.regularity
+        big = rho
+        q = p
+        while q is not None:
+            big = max(big, min_scheme_regularity(q))
+            q = q.derivative()
+        assert big + 1 <= m <= big + 2
+        if last is not None:
+            assert m >= last
+        last = m
+
+
+def test_bounds_and_monotonicity():
     for text, _ in GLOBAL_MINIMA:
-        p = poly(text)
-        floor = min_scheme_regularity(p)
-        last = None
-        for rho in range(floor, min(p.gotzmann_number - 1, floor + 5) + 1):
-            try:
-                report = min_regularity_at(p, rho)
-            except EmptyClass:
-                continue
-            m = report.regularity
-            big = rho
-            q = p
-            while q is not None:
-                big = max(big, min_scheme_regularity(q))
-                q = q.derivative()
-            assert big + 1 <= m <= big + 2
-            if last is not None:
-                assert m >= last
-            last = m
+        check_bounds_and_monotonicity(poly(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(writings)
+def test_bounds_and_monotonicity_on_random_writings(writing):
+    check_bounds_and_monotonicity(
+        polynomial_from_coefficients(from_writing(writing)))
 
 
 def test_function_minimum_matches_class_minimum():
