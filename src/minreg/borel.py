@@ -65,10 +65,6 @@ def degrevlex_key(term):
     return (sum(term), tuple(-e for e in term))
 
 
-def divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def term_string(term) -> str:
     pieces = []
     for i, e in enumerate(term):

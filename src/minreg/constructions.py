@@ -19,27 +19,27 @@ target function (the lift's growth classes differ from the target's only
 in class 0, which ghl_ideal does not read).  witness_min_reg makes it at
 the least regularity that the descent of the regularity module
 computes, and so realizes the minimal regularity in its class.
-The builders check only what they achieve.  verify_witness, the one check
-on an ideal, runs once per public certificate (as witness_min_reg returns
-it, or as `minreg verify` reads it): minimality, stability, saturation
-and the regularity by divisibility and, when those hold, the Hilbert
-function by the generators' classes and by walking the standard terms in
-x1..xn: the ideal is saturated by then, so x0 is a non-zerodivisor and
-each degree's count is the claim's first difference.  The ideal records
-trust their builders; certificate_from_dict checks shape.
+Every builder's certificate is verified: _verified runs verify_witness,
+the one check on an ideal, which `minreg verify` runs too.  It decides
+minimality, stability, saturation and the regularity by divisibility of
+packed terms and, when those hold, the Hilbert function by the
+generators' classes and by walking the standard terms in x1..xn: the
+ideal is saturated by then, so x0 is a non-zerodivisor and each degree's
+count is the claim's first difference.  The ideal records trust their
+builders; certificate_from_dict checks shape.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, islice
 
 from .borel import (StronglyStableIdeal, artinian_lift, degrevlex_key,
-                    divides, ek_index, ghl_ideal, lex_terms, slice_heights,
+                    ek_index, ghl_ideal, lex_terms, slice_heights,
                     term_string)
-from .errors import (InputError, InternalInconsistency, LinearVariety,
-                     NoRemovableTerm, NotSchemeHF, PreconditionViolation,
-                     VerificationFailure)
+from .errors import (InputError, InternalInconsistency, NoRemovableTerm,
+                     PreconditionViolation, VerificationFailure)
 from .functions import (HilbertFunction, is_scheme_function,
                         parse_hilbert_function)
 from .polynomials import AdmissiblePolynomial
@@ -125,19 +125,10 @@ class VerificationReport:
                          for name, passed in self.checks)
 
 
-def _quotients(term):
-    """Every term / x_j, one for each variable present."""
-    for j, e in enumerate(term):
-        if e:
-            yield term[:j] + (e - 1,) + term[j + 1:]
-
-
-def _standard_counts_match(gens, nvars, claim, limit):
+def _standard_counts_match(packed, w, nvars, claim, limit):
     """Whether, for each degree t <= limit, the standard terms in x1..xn
-    of degree t number claim(t) - claim(t-1), by the packed walk that
-    verify_witness describes.  Sound for x0-free generators only."""
-    w = max([limit, *map(max, gens)]).bit_length()
-    packed = {sum(e << w * i for i, e in enumerate(g) if e) for g in gens}
+    of degree t number claim(t) - claim(t-1), by verify_witness's walk
+    over generators packed w bits a field.  Sound if they are x0-free."""
     # unit[k] = 2^(w*k), made when the walk first reaches x_k: a full table
     # takes w*n^2/2 bits, more than a walk that stops early in degree 1.
     # x0 is never walked, so the empty term's top variable is x1.
@@ -172,25 +163,38 @@ def _standard_counts_match(gens, nvars, claim, limit):
 def verify_witness(certificate: WitnessCertificate) -> VerificationReport:
     """Re-derive every claim of a certificate from the raw generators.
 
-    c lies in the ideal iff c is a generator or a generator of lower
-    degree divides it; a generator g is minimal iff no g/x_j does.
-    Stability is tested on the adjacent raisings x_i -> x_{i+1} of the
-    generators only.  If those lie in I, so does each adjacent raising of
-    a member g*w: a raising of g times w, or g times a raising of w.  And
-    a raising x_i -> x_j chains the adjacent ones x_i -> ... -> x_j.
-    The enumeration runs only once the structural checks pass, and so
-    on x0-free generators: then x0^a*c is standard iff c is, and h(t) is
-    the running total of the number of standard terms in x1..xn of degree
-    t.  Those are walked up to degree regularity + 3 and each degree's
-    count is compared with the claim's first difference claim(t) -
-    claim(t-1), which tests exactly the same values.  A term c of degree
-    t+1 is standard iff it is no generator and every c/x_j is, as a
-    generator dividing c properly divides some c/x_j.  Each comes once,
-    as (c/x_k)*x_k with x_k its top variable.  A degree stops once it
-    outgrows the claim's difference.  Terms are packed integers,
-    sum e_i * 2^(w*i), with w bits per exponent, enough for every
-    generator and every term up to the walk's degree, so c*x_k is
-    c + 2^(w*k) and c/x_j is c - 2^(w*j).  Each standard term s carries
+    Every check reads one packed form of the generators.  A term
+    (e_0, ..., e_n) is the integer sum e_i * 2^(w*i): one field of w bits
+    for each variable, whose top bit is a guard that no exponent reaches.
+    With limit = the claimed regularity + 3 and E the largest exponent of
+    a generator, w = (max(limit, E) + 1).bit_length() + 1, so every
+    exponent met fits below the guards: at most E in a generator and in a
+    quotient g/x_j, E + 1 in a raising, and limit in a term of the walk.
+    Then c*x_k is c + 2^(w*k), c/x_j is c - 2^(w*j), and the raising
+    x_i -> x_{i+1} is c + (2^w - 1) * 2^(w*i).  c is a multiple of g iff
+    ((c | guard) - g) & guard == guard, guard the sum of the top bits:
+    each field of c | guard holds 2^(w-1) + c_i, so taking g_i from it
+    borrows from no other field and keeps the guard iff g_i <= c_i
+    (Knuth, TAOCP 4A, 7.1.3).
+
+    c of degree d lies in the ideal iff c is a generator or a multiple of
+    a generator of lower degree, found in the packed generators sorted by
+    degree; a generator g is minimal iff no g/x_j lies in it.  Stability
+    is tested on the adjacent raisings x_i -> x_{i+1} of the generators
+    only.  If those lie in I, so does each adjacent raising of a member
+    g*w: a raising of g times w, or g times a raising of w.  And a raising
+    x_i -> x_j chains the adjacent ones x_i -> ... -> x_j.
+
+    The enumeration runs only once the structural checks pass, and so on
+    x0-free generators: then x0^a*c is standard iff c is, and h(t) is the
+    running total of the number of standard terms in x1..xn of degree t.
+    Those are walked up to degree limit and each degree's count is
+    compared with the claim's first difference claim(t) - claim(t-1),
+    which tests exactly the same values.  A term c of degree t+1 is
+    standard iff it is no generator and every c/x_j is, as a proper
+    multiple of a generator is a multiple of it through some c/x_j.  Each
+    comes once, as (c/x_k)*x_k with x_k its top variable.  A degree stops
+    once it outgrows the claim's difference.  Each standard term s carries
     its support, the sorted indices of its variables, so of the quotients
     of c = s*x_k only the c/x_j for the other variables x_j of s are
     looked up.  The walk costs about sum_t dh(t) * n set lookups for n
@@ -202,19 +206,29 @@ def verify_witness(certificate: WitnessCertificate) -> VerificationReport:
     the verifier calls.
     """
     ideal = certificate.ideal
-    gens = ideal.generators
-    by_degree = sorted((sum(g), g) for g in gens)
+    nvars, gens = ideal.nvars, ideal.generators
+    limit = certificate.regularity + 3
+    w = (max(limit, 0, *map(max, gens)) + 1).bit_length() + 1
+    guard = ((1 << w * nvars) - 1) // ((1 << w) - 1) << (w - 1)
+    # (degree, packed term, support) for each generator, by degree
+    table = sorted((sum(g), sum(g[i] << w * i for i in supp), supp)
+                   for g in gens for supp in [list(compress(range(nvars), g))])
+    degrees = [d for d, _, _ in table]
+    by_degree = [c for _, c, _ in table]
+    packed = set(by_degree)
 
-    def member(c):
-        below = by_degree[:bisect_left(by_degree, (sum(c),))]
-        return c in gens or any(divides(g, c) for _, g in below)
+    def member(c, d):
+        below = islice(by_degree, bisect_left(degrees, d))
+        return c in packed or any(((c | guard) - g) & guard == guard
+                                  for g in below)
 
     checks = [
         ("minimal generators",
-         not any(member(q) for g in gens for q in _quotients(g))),
+         not any(member(c - (1 << w * j), d - 1)
+                 for d, c, supp in table for j in supp)),
         ("strongly stable",
-         all(member(g[:i] + (g[i] - 1, g[i + 1] + 1) + g[i + 2:])
-             for g in gens for i in range(ideal.nvars - 1) if g[i])),
+         all(member(c + (((1 << w) - 1) << w * i), d)
+             for d, c, supp in table for i in supp if i < nvars - 1)),
         ("saturated", ideal.is_saturated),
         ("regularity", ideal.regularity == certificate.regularity),
     ]
@@ -231,9 +245,19 @@ def verify_witness(certificate: WitnessCertificate) -> VerificationReport:
     checks.append(("hilbert function by slice formulas",
                    ideal.hilbert_function() == claim))
     checks.append(("hilbert function by enumeration",
-                   _standard_counts_match(gens, ideal.nvars, claim,
-                                          certificate.regularity + 3)))
+                   _standard_counts_match(packed, w, nvars, claim, limit)))
     return VerificationReport(tuple(checks))
+
+
+def _verified(ideal, hf, regularity, log) -> WitnessCertificate:
+    """A builder's certificate, once verify_witness accepts it."""
+    certificate = WitnessCertificate(ideal, hf, regularity, tuple(log))
+    report = verify_witness(certificate)
+    if not report:
+        raise VerificationFailure(
+            "certificate for %s at regularity %d failed verification: %s"
+            % (hf, regularity, report))
+    return certificate
 
 
 def _bumped(hf: HilbertFunction, start: int) -> HilbertFunction:
@@ -282,21 +306,11 @@ def remove_minimal_term(J: StronglyStableIdeal, s: int,
     multiples = {v[:j] + (v[j] + 1,) + v[j + 1:]
                  for j in range(1, ek_index(v) + 1)}
     result = StronglyStableIdeal(J.nvars, J.generators - {v} | multiples)
-
-    before = J.hilbert_function()
-    expected = _bumped(before, t_bar)
-    achieved = result.hilbert_function()
-    if achieved != expected:
-        raise InternalInconsistency(
-            "removal of %s moved the function to %s instead of %s"
-            % (term_string(term), achieved, expected))
     m = J.regularity
-    if result.regularity != (m + 1 if t_bar == m else m):
-        raise InternalInconsistency(
-            "removal of %s left regularity %d (from %d, t_bar %d)"
-            % (term_string(term), result.regularity, m, t_bar))
-    log = ("removed %s from the degree-%d slice" % (term_string(term), s),)
-    return WitnessCertificate(result, achieved, result.regularity, log)
+    return _verified(result, _bumped(J.hilbert_function(), t_bar),
+                     m + 1 if t_bar == m else m,
+                     ["removed %s from the degree-%d slice"
+                      % (term_string(term), s)])
 
 
 def expanded_lifting(f: HilbertFunction,
@@ -350,22 +364,7 @@ def expanded_lifting(f: HilbertFunction,
         for t in reversed(list(gone)):
             log.append("removed %s (gap at degree %d)"
                        % (term_string((j,) + t[1:]), m - j))
-    achieved = ideal.hilbert_function()
-    if achieved != f:
-        raise InternalInconsistency(
-            "lifting realized %s instead of %s" % (achieved, f))
-    if ideal.regularity != m:
-        raise InternalInconsistency(
-            "lifting landed on regularity %d instead of %d"
-            % (ideal.regularity, m))
-    return WitnessCertificate(ideal, f, m, tuple(log))
-
-
-def _spliced(w: HilbertFunction, q: HilbertFunction,
-             m: int) -> HilbertFunction:
-    horizon = max(m, q.regularity)
-    prefix = [w(t) if t < m else q(t) for t in range(horizon)]
-    return HilbertFunction(tuple(prefix), q.tail)
+    return _verified(ideal, f, m, log)
 
 
 def ideal_graft(Iq: StronglyStableIdeal, Iw: StronglyStableIdeal,
@@ -384,19 +383,17 @@ def ideal_graft(Iq: StronglyStableIdeal, Iw: StronglyStableIdeal,
         raise PreconditionViolation(
             "graft needs w(m-1) = q(m-1) and w(m-2) <= q(m-2);"
             " got w=%s q=%s m=%d" % (w, q, m))
-    target = _spliced(w, q, m)
+    target = HilbertFunction(tuple(w(t) if t < m else q(t)
+                                   for t in range(max(m, q.regularity))),
+                             q.tail)
     s = max(m, Iq.regularity)
     grafted = ghl_ideal(target, s, max(Iq.nvars, Iw.nvars))
-    achieved = grafted.hilbert_function()
-    if achieved != target:
-        raise InternalInconsistency(
-            "graft produced %s instead of %s" % (achieved, target))
     if grafted.regularity > s:
         raise InternalInconsistency(
             "graft regularity %d exceeds the bound %d"
             % (grafted.regularity, s))
-    log = ("graft at degree %d, slice degree %d" % (m, s),)
-    return WitnessCertificate(grafted, achieved, grafted.regularity, log)
+    return _verified(grafted, target, grafted.regularity,
+                     ["graft at degree %d, slice degree %d" % (m, s)])
 
 
 def witness_min_reg(u: HilbertFunction) -> WitnessCertificate:
@@ -409,13 +406,7 @@ def witness_min_reg(u: HilbertFunction) -> WitnessCertificate:
     target at its working degree: the tail fixes the growth classes and
     the function the height classes.  So the witness is ghl_ideal(u, m,
     u(1)), built in one step.  Its certificate is verified once, as it
-    leaves."""
-    if not is_scheme_function(u):
-        raise NotSchemeHF("%s is not the Hilbert function of a"
-                          " subscheme" % u)
-    p = u.tail
-    if p is None or p.gotzmann_number < 2:
-        raise LinearVariety("%s describes a linear variety" % u)
+    leaves; the descent refuses a u outside its domain."""
     descent = min_regularity_of_function(u)
     m, nvars = descent.regularity, u(1)
     log = tuple("descent at %s: rho_used %d, rho_fit %s, regularity %d"
@@ -424,9 +415,4 @@ def witness_min_reg(u: HilbertFunction) -> WitnessCertificate:
                    row.regularity)
                 for row in descent.rows)
     log += ("ghl slice of degree %d in %d variables" % (m, nvars),)
-    certificate = WitnessCertificate(ghl_ideal(u, m, nvars), u, m, log)
-    report = verify_witness(certificate)
-    if not report:
-        raise VerificationFailure(
-            "witness for %s failed verification: %s" % (u, report))
-    return certificate
+    return _verified(ghl_ideal(u, m, nvars), u, m, log)

@@ -88,7 +88,8 @@ class TooManyDigits(DomainError):
 
 
 class VerificationFailure(MinregError):
-    """witness_min_reg's independent check of its certificate failed."""
+    """A builder's certificate failed verify_witness, the independent
+    check that every builder runs on its result."""
 
     exit_code = 3
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .binomials import binom
 from .errors import (AmbientTooSmall, EmptyClass, InternalInconsistency,
                      LinearVariety, NotSchemeHF)
 from .functions import (HilbertFunction, descent_step, is_scheme_function,
@@ -152,17 +153,17 @@ def min_regularity_of_function(u: HilbertFunction) -> RegularityReport:
 
 def min_regularity_in_space(p: AdmissiblePolynomial, n: int) -> RegularityReport:
     """Least regularity among subschemes of projective n-space with
-    Hilbert polynomial p."""
+    Hilbert polynomial p, at the least t with minimal_function(p, t)(1)
+    <= n + 1.  By Macaulay that value is the least k with C(k + top - 1,
+    top) >= p(top), top = max(t, 1), so no minimal function is built."""
     _check_in_scope(p)
     if n < p.degree + 1:
         raise AmbientTooSmall(
             "schemes with polynomial %s live in dimension %d at least"
             % (p, p.degree + 1))
-    chosen = None
-    for t in range(min_scheme_regularity(p), p.gotzmann_number):
-        if minimal_function(p, t)(1) <= n + 1:
-            chosen = t
-            break
+    chosen = next((t for t in range(min_scheme_regularity(p),
+                                    p.gotzmann_number)
+                   if binom(n + max(t, 1), n) >= p(max(t, 1))), None)
     if chosen is None:
         raise AmbientTooSmall(
             "no scheme in projective %d-space has polynomial %s" % (n, p))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from minreg.binomials import binom
 from minreg.borel import (StronglyStableIdeal, artinian_lift, borel_leq,
-                          degrevlex_key, deglex_key, divides, ghl_ideal,
+                          degrevlex_key, deglex_key, ghl_ideal,
                           lex_segment_ideal, lex_terms, min_index,
                           term_string)
 from minreg.errors import DegreeMismatch, NotAdmissible, NotSaturated
@@ -56,8 +56,6 @@ def test_term_helpers():
     assert term_string((0, 0)) == "1"
     assert min_index((0, 0, 3)) == 2
     assert min_index((0, 0)) is None
-    assert divides((0, 1, 0), (1, 1, 0))
-    assert not divides((0, 2, 0), (1, 1, 1))
 
 
 def test_lex_orders_three_variables():

@@ -5,14 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from minreg import constructions
 from minreg.borel import (StronglyStableIdeal, artinian_lift, degrevlex_key,
-                          slice_heights, term_string)
+                          ek_index, ghl_ideal, slice_heights, term_string)
 from minreg.constructions import (WitnessCertificate, certificate_from_dict,
                                   expanded_lifting, ideal_graft,
                                   remove_minimal_term, verify_witness,
                                   witness_min_reg)
 from minreg.errors import (LinearVariety, NoRemovableTerm, NotSchemeHF,
-                           PreconditionViolation)
+                           PreconditionViolation, VerificationFailure)
 from minreg.functions import (minimal_function, minimal_function_exact,
                               minimal_scheme_function, min_scheme_regularity,
                               parse_hilbert_function)
@@ -321,6 +322,37 @@ def test_witness_of_exact_function_needs_more_removals():
     assert cert.ideal == reference.ideal
     assert cert.regularity == 9
     assert cert.log[-1] == "ghl slice of degree 9 in 4 variables"
+
+
+def without_a_top_generator(*args):
+    """ghl_ideal's ideal less one generator of top degree."""
+    J = ghl_ideal(*args)
+    top = max(J.generators, key=lambda g: (sum(g), g))
+    return StronglyStableIdeal(J.nvars, J.generators - {top})
+
+
+@pytest.mark.parametrize("builder", ["witness", "lifting", "graft",
+                                     "removal"])
+def test_builders_refuse_a_sabotaged_result(monkeypatch, builder):
+    # Every builder verifies its certificate, so a wrong ideal, whatever
+    # step made it, is a VerificationFailure.
+    f6 = minimal_function(poly("12z-25"), 6)
+    base = witness_min_reg(f6).ideal
+    builds = {
+        "witness": lambda: witness_min_reg(f6),
+        "lifting": lambda: expanded_lifting(hf("1,5,11 ; 15z-24"),
+                                            SECTION15),
+        "graft": lambda: ideal_graft(base, base, 8),
+        "removal": lambda: remove_minimal_term(STRAIGHTENED, 5, 3),
+    }
+    if builder == "removal":
+        monkeypatch.setattr(constructions, "ek_index",
+                            lambda v: ek_index(v) - 1)
+    else:
+        monkeypatch.setattr(constructions, "ghl_ideal",
+                            without_a_top_generator)
+    with pytest.raises(VerificationFailure, match="failed verification"):
+        builds[builder]()
 
 
 def test_witness_rejects_bad_functions():

@@ -4,16 +4,17 @@ ambient-constrained variant."""
 import pytest
 from hypothesis import given, settings
 
-from minreg.errors import (AmbientTooSmall, EmptyClass, LinearVariety,
-                           NotSchemeHF)
-from minreg.functions import (min_scheme_regularity, minimal_scheme_function,
-                              parse_hilbert_function)
+from minreg.errors import (AmbientTooSmall, DomainError, EmptyClass,
+                           LinearVariety, NotSchemeHF)
+from minreg.functions import (min_scheme_regularity, minimal_function,
+                              minimal_scheme_function, parse_hilbert_function)
 from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
 from minreg.regularity import (min_regularity, min_regularity_at,
                                min_regularity_in_space,
                                min_regularity_of_function)
 
 from conftest import from_writing, writings
+from test_verifier import budget
 
 
 def poly(text):
@@ -237,6 +238,50 @@ def test_minimum_in_ambient_space(text, n, expected):
 def test_ambient_too_small(text, n):
     with pytest.raises(AmbientTooSmall):
         min_regularity_in_space(poly(text), n)
+
+
+def chain_choice(p, n):
+    """The least t whose minimal function has a value at 1 of at most
+    n + 1, found by building each minimal function; None if none has."""
+    for t in range(min_scheme_regularity(p), p.gotzmann_number):
+        if minimal_function(p, t)(1) <= n + 1:
+            return t
+    return None
+
+
+AMBIENT_GRID = ([str(c) for c in range(2, 41)]
+                + ["%dz%+d" % (a, b) for a in range(2, 7)
+                   for b in range(-6, 7)]
+                + ["z^2%+dz%+d" % (a, b) for a in range(2, 5)
+                   for b in range(-3, 4)])
+
+
+def test_ambient_search_matches_the_chain_scan():
+    # The search reads the value at 1 off one binomial per candidate t.
+    compared = 0
+    for text in AMBIENT_GRID:
+        try:
+            p = poly(text)
+            min_regularity(p)
+        except DomainError:
+            continue
+        for n in range(1, 6):
+            expected = chain_choice(p, n) if n > p.degree else None
+            if expected is None:
+                with pytest.raises(AmbientTooSmall):
+                    min_regularity_in_space(p, n)
+            else:
+                report = min_regularity_in_space(p, n)
+                assert report.rho_used == expected, (text, n)
+            compared += 1
+    assert compared > 300
+
+
+def test_many_points_on_a_line_end_in_time():
+    # Building the minimal function of every candidate t ran past 60 s.
+    with budget(20):
+        report = min_regularity_in_space(poly("3000"), 1)
+    assert (report.rho_used, report.regularity) == (2999, 3000)
 
 
 def test_table_lines_render():

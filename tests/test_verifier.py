@@ -126,20 +126,73 @@ def test_verifier_at_the_packing_width_boundaries(nvars):
             assert report.checks == reference_verify(cert).checks, (nvars, k)
 
 
+def packed(J, limit):
+    """J's generators packed as verify_witness packs them for a walk up
+    to degree limit, and the field width w."""
+    w = (max(limit, 0, *map(max, J.generators)) + 1).bit_length() + 1
+    return {sum(e << w * i for i, e in enumerate(g))
+            for g in J.generators}, w
+
+
+def carried_ideals(k):
+    """Generator sets in x0, x1, x2 with a raising that carries an
+    exponent 2^k - 1 up to 2^k; whether the raising lies in the ideal
+    rests on a generator with a positive exponent in that field, or on
+    none."""
+    top = 2 ** k
+    return [
+        # x1*x2^top, a multiple of the generator x2^top
+        {(0, 2, top - 1), (0, 0, top)},
+        # x2^(top-1) is a factor of x1^2*x2^(top-1), and of x1*x2^top
+        {(0, 2, top - 1), (0, 0, top - 1)},
+        # x1*x2^top lies outside
+        {(0, 2, top - 1)},
+        # the raising is the generator x2^top itself
+        {(0, 1, top - 1), (0, 0, top)},
+        # x0*x1^(top-1) raises to x1^top, a multiple of x1^(top-1)
+        {(1, top - 1, 0), (0, top - 1, 0)},
+        {(1, top - 1, 0), (0, top, 0), (0, 0, 1)},
+    ]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_verifier_at_the_guard_bits(k):
+    # verify_witness packs exponents below a guard bit, in fields of
+    # w = (max(limit, E) + 1).bit_length() + 1 bits, limit the claimed
+    # regularity + 3 and E the largest exponent.  A raising that carries
+    # 2^k - 1 to 2^k needs the last bit below the guard both when E sets
+    # w (a regularity claimed too low, 0) and when limit does (the true
+    # claim, whose top-degree generator x1^2*x2^(2^k-1) raises to
+    # x1*x2^(2^k)).  Sound ideals claim their own function.
+    for n, gens in enumerate(carried_ideals(k)):
+        ideal = StronglyStableIdeal(3, frozenset(gens))
+        probe = reference_verify(
+            WitnessCertificate(ideal, ONE, ideal.regularity, ()))
+        sound = all(passed for _, passed in probe.checks[:4])
+        claim = ideal.hilbert_function() if sound else ONE
+        for regularity in (ideal.regularity, 0):
+            cert = WitnessCertificate(ideal, claim, regularity, ())
+            report = verify_witness(cert)
+            assert report.checks == reference_verify(cert).checks, \
+                (k, n, regularity)
+            assert report.ok == (sound and regularity > 0), (k, n)
+
+
 def assert_walk_matches_the_count(J):
     """The walk accepts J's own counts up to regularity + 3, counted over
     the whole ambient ring, and refuses them moved by one up or down at
     any one degree."""
     limit = J.regularity + 3
     counts = list(standard_counts(J, limit + 1))
-    assert _standard_counts_match(J.generators, J.nvars, counts.__getitem__,
-                                  limit)
+    assert _standard_counts_match(*packed(J, limit), J.nvars,
+                                  counts.__getitem__, limit)
     for t in range(limit + 1):
         for step in (1, -1):
             moved = counts[:]
             moved[t] += step
             assert not _standard_counts_match(
-                J.generators, J.nvars, moved.__getitem__, limit), (t, step)
+                *packed(J, limit), J.nvars, moved.__getitem__, limit), \
+                (t, step)
     return counts
 
 
@@ -196,7 +249,7 @@ def test_walk_edge_cases():
     counts = list(standard_counts(J, 9))
     for t in range(8):
         claim = [c + (s > t) for s, c in enumerate(counts)]
-        assert not _standard_counts_match(J.generators, 3,
+        assert not _standard_counts_match(*packed(J, 8), 3,
                                           claim.__getitem__, 8), t
 
 
