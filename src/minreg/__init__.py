@@ -9,18 +9,15 @@ function regularity, for a fixed function, inside a fixed projective
 space) and the constructions module produces ideals achieving it.
 """
 
-from .borel import (StronglyStableIdeal, artinian_lift, borel_leq,
-                    lex_segment_ideal)
+from .borel import StronglyStableIdeal, borel_leq
 from .constructions import (VerificationReport, WitnessCertificate,
-                            certificate_from_dict, expanded_lifting,
-                            ideal_graft, remove_minimal_term, verify_witness,
+                            certificate_from_dict, verify_witness,
                             witness_min_reg)
 from .errors import (AmbientTooSmall, DegreeMismatch, DomainError, EmptyClass,
                      InputError, InternalInconsistency, LinearVariety,
-                     MinregError, NegativeDerivative, NoRemovableTerm,
-                     NotAdmissible, NotSaturated, NotSchemeHF, ParseError,
-                     PreconditionViolation, RhoTooSmall, TooManyDigits,
-                     VerificationFailure)
+                     MinregError, NegativeDerivative, NotAdmissible,
+                     NotSaturated, NotSchemeHF, ParseError, RhoTooSmall,
+                     TooManyDigits, VerificationFailure)
 from .functions import (HilbertFunction, is_admissible_function,
                         is_scheme_function, min_function_regularity,
                         min_scheme_regularity, minimal_function,
@@ -45,12 +42,10 @@ __all__ = [
     "LinearVariety",
     "MinregError",
     "NegativeDerivative",
-    "NoRemovableTerm",
     "NotAdmissible",
     "NotSaturated",
     "NotSchemeHF",
     "ParseError",
-    "PreconditionViolation",
     "RegularityReport",
     "RhoTooSmall",
     "StronglyStableIdeal",
@@ -58,14 +53,10 @@ __all__ = [
     "VerificationFailure",
     "VerificationReport",
     "WitnessCertificate",
-    "artinian_lift",
     "borel_leq",
     "certificate_from_dict",
-    "expanded_lifting",
-    "ideal_graft",
     "is_admissible_function",
     "is_scheme_function",
-    "lex_segment_ideal",
     "min_function_regularity",
     "min_regularity",
     "min_regularity_at",
@@ -78,7 +69,6 @@ __all__ = [
     "parse_hilbert_function",
     "parse_polynomial",
     "polynomial_from_coefficients",
-    "remove_minimal_term",
     "verify_witness",
     "witness_min_reg",
 ]

@@ -4,7 +4,10 @@ The binomial convention used everywhere in this package is the vanishing
 one: C(n, m) = 0 whenever m < 0 or n < m, and C(n, 0) = 1 for n >= 0.
 All arithmetic is exact.  The Macaulay expansion of a >= 1 in base t,
 a = C(k_t, t) + ... + C(k_j, j) with strictly decreasing tops k_i >= i
-and j >= 1, is held as its tuple of tops (k_t, ..., k_j).
+and j >= 1, is held as its tuple of tops (k_t, ..., k_j).  Two
+operators read it: plus_plus, Macaulay's growth bound a^<t>, and
+lowered_chain, which carries one expansion down through the values
+a_<t>, a_<t><t-1>, ... that a minimal function takes below its top.
 """
 
 from __future__ import annotations
@@ -55,41 +58,28 @@ def macaulay_expand(a: int, t: int) -> tuple[int, ...]:
     return tuple(tops)
 
 
-def _shifted(a: int, t: int, step: int) -> int:
-    """Value after replacing every C(k, i) of a's expansion in base t
-    with C(k + step, i + step); 0 for a = 0."""
-    if a == 0:
-        return 0
-    return sum(math.comb(k + step, i + step)
-               for k, i in zip(macaulay_expand(a, t), range(t, 0, -1)))
-
-
 # is_admissible_function re-tests the same values of a function (and of
 # its difference) for every candidate, so most calls hit this cache.
 @lru_cache(maxsize=None)
 def plus_plus(a: int, t: int) -> int:
-    """Macaulay growth bound: add one to every top and every index.
+    """Macaulay growth bound a^<t>: add one to every top and every index.
 
     For a ruled degree-t piece of size a this bounds the size of the
     degree t+1 piece.  Extended by plus_plus(0, t) = 0.
     """
-    return _shifted(a, t, 1)
-
-
-def minus_minus(a: int, t: int) -> int:
-    """a_<t>: subtract one from every top and every index of the expansion.
-
-    Extended by minus_minus(0, t) = 0.  For a >= 1 the result is always
-    at least 1 because every term C(k-1, i-1) with k >= i >= 1 is positive.
-    """
-    return _shifted(a, t, -1)
+    if a == 0:
+        return 0
+    return sum(math.comb(k + 1, i + 1)
+               for k, i in zip(macaulay_expand(a, t), range(t, 0, -1)))
 
 
 def lowered_chain(a: int, t: int) -> list:
-    """Values at 0, 1, ..., t-1 below a at t, each the minus_minus of
-    the next.  One expansion is carried down: lowering its tops gives the
-    next one, once a last term C(k-1, 0) = 1 is folded into the term
-    above it and equal last tops merge by C(k, i) + C(k, i-1) = C(k+1, i).
+    """Values at 0, 1, ..., t-1 below a at t, each a_<s> of the next
+    value b at s: one subtracted from every top and every index of b's
+    expansion in base s.  One expansion is carried down: lowering its
+    tops gives the next one, once a last term C(k-1, 0) = 1 is folded
+    into the term above it and equal last tops merge by
+    C(k, i) + C(k, i-1) = C(k+1, i).
     """
     if a == 0 or t == 0:
         return [0] * t

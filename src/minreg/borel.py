@@ -21,8 +21,8 @@ a Hilbert function and polynomials.slice_growth() the growth classes from
 its tail.  ghl_ideal() turns those sizes straight into the minimal
 generators of the slice's saturation, by Macaulay's theorem on lex
 segments, and lists each class of generators, a lex interval, with
-lex_terms(); no slice is built.  It gives the witnesses, grafts, liftings
-and lex segments.
+lex_terms(); no slice is built.  It gives the witnesses; the tests
+build the paper's grafts and lex-segment ideals with it too.
 
 StronglyStableIdeal is a plain record that trusts its callers: every
 builder here gives an ideal by its minimal generators.  Nothing re-checks
@@ -38,10 +38,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .binomials import binom, plus_plus
-from .errors import (DegreeMismatch, InternalInconsistency, LinearVariety,
-                     NotSaturated)
-from .functions import HilbertFunction, minimal_function
-from .polynomials import AdmissiblePolynomial, quotient_tail, slice_growth
+from .errors import DegreeMismatch, InternalInconsistency, NotSaturated
+from .functions import HilbertFunction
+from .polynomials import quotient_tail, slice_growth
 
 def min_index(term):
     """Index of the least variable dividing the term; None for the unit."""
@@ -59,10 +58,6 @@ def ek_index(term):
 
 def deglex_key(term):
     return (sum(term), tuple(reversed(term)))
-
-
-def degrevlex_key(term):
-    return (sum(term), tuple(-e for e in term))
 
 
 def term_string(term) -> str:
@@ -269,27 +264,3 @@ def ghl_ideal(f: HilbertFunction, degree: int,
             known = 0 if last is None else _share_at_or_above(last, i)
             gens.extend(lex_terms(nvars, i, m - 1, known, growth[i], 1))
     return StronglyStableIdeal(nvars, frozenset(gens))
-
-
-def artinian_lift(A: StronglyStableIdeal) -> StronglyStableIdeal:
-    """View an ideal in x1..xn inside K[x0, ..., xn], x0 the new least
-    variable.  The result is saturated by construction and keeps the
-    generator degrees, while the quotient Hilbert function turns into the
-    running sums of the old one."""
-    gens = [(0,) + g for g in A.generators]
-    return StronglyStableIdeal(A.nvars + 1, frozenset(gens))
-
-
-def lex_segment_ideal(p: AdmissiblePolynomial) -> StronglyStableIdeal:
-    """The saturated lex-segment ideal with Hilbert polynomial p.
-
-    Its quotient Hilbert function f is the least one with polynomial p and
-    its regularity is the Gotzmann number r.  Its degree-r slice, the
-    lex-first C(r+n, n) - p(r) terms, takes the lex-first terms of every
-    class, so it is the ghl slice of f at r.
-    """
-    r = p.gotzmann_number
-    if r < 2:
-        raise LinearVariety("lex-segment construction needs r > 1")
-    f = minimal_function(p, r - 1)
-    return ghl_ideal(f, r, f(1))

@@ -174,9 +174,6 @@ def cmd_minreg(args) -> int:
 def cmd_witness(args) -> int:
     if args.hf is not None:
         u = parse_hilbert_function(args.hf)
-        if u.tail is None:
-            raise InputError("a witness needs a function with a"
-                             " polynomial tail: %s" % u)
         if args.polynomial is not None:
             p = parse_polynomial(args.polynomial)
             if u.tail != p:

@@ -1,26 +1,16 @@
-"""Constructions of witness ideals with prescribed Hilbert data.
+"""The witness builder, the certificate it returns, and its verifier.
 
-Three builders produce saturated strongly stable ideals together with a
-claimed Hilbert function and regularity, packaged as certificates, and
-work on generators and class sizes:
+witness_min_reg builds a saturated strongly stable ideal whose quotient
+has a given Hilbert function u and the least regularity m among all
+subschemes with that function, the m that the descent of the regularity
+module computes.  The paper reaches that ideal step by step, by term
+removals, expanded liftings and ideal grafts; each lifting keeps the ghl
+slice of its target at its working degree, so the witness is one
+borel.ghl_ideal call on u at degree m, read off class sizes.  The tests
+keep the stepwise route as the reference it must agree with.
 
-* remove_minimal_term drops one Borel-minimal term x0^(s-t)*v from a
-  high-degree slice, which bumps the Hilbert function by one from degree
-  t on; v is a generator, and the new generators replace it by its
-  multiples v*x_j, j <= ek_index(v);
-* expanded_lifting adds a new least variable to a given ideal and keeps,
-  of its ghl slice at the working degree, the terms a prescribed function
-  asks for, landing exactly on regularity max(reg of the input, rho + 1);
-* ideal_graft splices the low degrees of one quotient onto the high
-  degrees of another.
-
-The last two, like witness_min_reg, are one borel.ghl_ideal call on the
-target function (the lift's growth classes differ from the target's only
-in class 0, which ghl_ideal does not read).  witness_min_reg makes it at
-the least regularity that the descent of the regularity module
-computes, and so realizes the minimal regularity in its class.
-Every builder's certificate is verified: _verified runs verify_witness,
-the one check on an ideal, which `minreg verify` runs too.  It decides
+The certificate is verified as it leaves: verify_witness is the one
+check on an ideal, which `minreg verify` runs too.  It decides
 minimality, stability, saturation and the regularity by divisibility of
 packed terms and, when those hold, the Hilbert function by the
 generators' classes and by walking the standard terms in x1..xn: the
@@ -35,14 +25,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, islice
 
-from .borel import (StronglyStableIdeal, artinian_lift, degrevlex_key,
-                    ek_index, ghl_ideal, lex_terms, slice_heights,
-                    term_string)
-from .errors import (InputError, InternalInconsistency, NoRemovableTerm,
-                     PreconditionViolation, VerificationFailure)
-from .functions import (HilbertFunction, is_scheme_function,
-                        parse_hilbert_function)
-from .polynomials import AdmissiblePolynomial
+from .borel import StronglyStableIdeal, ghl_ideal
+from .errors import InputError, VerificationFailure
+from .functions import HilbertFunction, parse_hilbert_function
 from .regularity import min_regularity_of_function
 
 
@@ -249,153 +234,6 @@ def verify_witness(certificate: WitnessCertificate) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def _verified(ideal, hf, regularity, log) -> WitnessCertificate:
-    """A builder's certificate, once verify_witness accepts it."""
-    certificate = WitnessCertificate(ideal, hf, regularity, tuple(log))
-    report = verify_witness(certificate)
-    if not report:
-        raise VerificationFailure(
-            "certificate for %s at regularity %d failed verification: %s"
-            % (hf, regularity, report))
-    return certificate
-
-
-def _bumped(hf: HilbertFunction, start: int) -> HilbertFunction:
-    """The function hf + 1 from degree start on."""
-    horizon = max(hf.regularity, start) + 1
-    prefix = [hf(t) + (1 if t >= start else 0) for t in range(horizon)]
-    tail = (AdmissiblePolynomial.constant(1) if hf.tail is None
-            else hf.tail + 1)
-    return HilbertFunction(tuple(prefix), tail)
-
-
-def remove_minimal_term(J: StronglyStableIdeal, s: int,
-                        t_bar: int) -> WitnessCertificate:
-    """Drop one Borel-minimal term with x0-free part of degree t_bar from
-    the degree-s slice and saturate.
-
-    The slice term x0^(s-t_bar)*v is Borel-minimal only if v is a
-    generator: else v/x_min(v) lies in J (Eliahou-Kervaire), and so does
-    a lowering of the term.  The degrevlex-least generator v of degree
-    t_bar always is: its lowering x1 -> x0 strips to v/x1, outside J, and
-    a lowering w = v*x_(i-1)/x_i in J would be a generator of degree
-    t_bar, which comes first in degrevlex, or a multiple of one of lower
-    degree; those multiples are closed under raising, and v raises w.  The
-    saturation without the term is J without v alone, so its generators
-    are J's others and v*x_j for 1 <= j <= ek_index(v).
-
-    The quotient gains one in every degree from t_bar on; the regularity
-    moves from m to m+1 exactly when t_bar equals m.
-    """
-    if not J.is_saturated:
-        raise PreconditionViolation("removal needs a saturated ideal")
-    if s < max(J.regularity, 1):
-        raise PreconditionViolation(
-            "slice degree %d is below the regularity %d"
-            % (s, J.regularity))
-    if not 0 <= t_bar < s:
-        raise PreconditionViolation(
-            "need 0 <= t_bar < s, got t_bar=%d s=%d" % (t_bar, s))
-    candidates = [v for v in J.generators if sum(v) == t_bar]
-    if not candidates:
-        raise NoRemovableTerm(
-            "no minimal term with x0-exponent %d in the degree-%d slice"
-            % (s - t_bar, s))
-    v = min(candidates, key=degrevlex_key)
-    term = (s - t_bar,) + v[1:]
-    multiples = {v[:j] + (v[j] + 1,) + v[j + 1:]
-                 for j in range(1, ek_index(v) + 1)}
-    result = StronglyStableIdeal(J.nvars, J.generators - {v} | multiples)
-    m = J.regularity
-    return _verified(result, _bumped(J.hilbert_function(), t_bar),
-                     m + 1 if t_bar == m else m,
-                     ["removed %s from the degree-%d slice"
-                      % (term_string(term), s)])
-
-
-def expanded_lifting(f: HilbertFunction,
-                     Jz: StronglyStableIdeal) -> WitnessCertificate:
-    """Realize f as the quotient function of a cone-and-removal lift of Jz.
-
-    Jz's quotient function g must sit below the first difference of f and
-    share its Hilbert polynomial; the output has regularity exactly
-    max(reg(Jz), rho + 1) where rho is the regularity of f.
-    """
-    if f.tail is None or f.tail.degree < 1 or f.tail.gotzmann_number < 2:
-        raise PreconditionViolation(
-            "the target %s does not describe a positive-dimensional"
-            " subscheme" % f)
-    if not is_scheme_function(f):
-        raise PreconditionViolation("%s is not a scheme function" % f)
-    if not Jz.is_saturated:
-        raise PreconditionViolation("lifting needs a saturated ideal")
-    rho = f.regularity
-    g = Jz.hilbert_function()
-    df = f.delta()
-    if g.tail != df.tail:
-        raise PreconditionViolation(
-            "polynomial mismatch: section has %s, difference needs %s"
-            % (g.tail, df.tail))
-    if not g.dominated_by(df):
-        raise PreconditionViolation(
-            "section function %s is not below the difference %s" % (g, df))
-
-    lifted = artinian_lift(Jz)
-    nvars = lifted.nvars
-    m = max(Jz.regularity, rho + 1)
-    log = ["lifted %d generators into %d variables, working degree %d"
-           % (len(Jz.generators), nvars, m)]
-
-    # The lifted slice and the output's, both in ghl form, share their
-    # growth classes; f fixes the output's height classes.  Of x0^j times
-    # the degree-(m-j) terms in x1..xn, lex-descending, the lift keeps the
-    # first start[j] and f the first heights[j]; the ones in between go.
-    start = slice_heights(lifted.hilbert_function(), m, nvars)
-    heights = slice_heights(f, m, nvars)
-    if min(heights) < 0:
-        raise NoRemovableTerm("%s needs more than the %d variables of the"
-                              " lift" % (f, nvars))
-    ideal = ghl_ideal(f, m, nvars)
-    if any(heights[j] > start[j] for j in range(1, m + 1)):
-        raise InternalInconsistency(
-            "the slice for %s is not inside the lifted slice" % f)
-    for j in range(m, 0, -1):
-        gone = lex_terms(nvars, 1, m - j, heights[j], start[j])
-        for t in reversed(list(gone)):
-            log.append("removed %s (gap at degree %d)"
-                       % (term_string((j,) + t[1:]), m - j))
-    return _verified(ideal, f, m, log)
-
-
-def ideal_graft(Iq: StronglyStableIdeal, Iw: StronglyStableIdeal,
-                m: int) -> WitnessCertificate:
-    """Splice the quotient of Iw below degree m onto the quotient of Iq.
-
-    Needs w(m-1) = q(m-1) and w(m-2) <= q(m-2); the result is saturated
-    strongly stable with regularity at most max(m, reg(Iq))."""
-    if m <= 1:
-        raise PreconditionViolation("graft degree must exceed 1")
-    if not (Iq.is_saturated and Iw.is_saturated):
-        raise PreconditionViolation("graft needs saturated ideals")
-    q = Iq.hilbert_function()
-    w = Iw.hilbert_function()
-    if not (w(m - 1) == q(m - 1) and w(m - 2) <= q(m - 2)):
-        raise PreconditionViolation(
-            "graft needs w(m-1) = q(m-1) and w(m-2) <= q(m-2);"
-            " got w=%s q=%s m=%d" % (w, q, m))
-    target = HilbertFunction(tuple(w(t) if t < m else q(t)
-                                   for t in range(max(m, q.regularity))),
-                             q.tail)
-    s = max(m, Iq.regularity)
-    grafted = ghl_ideal(target, s, max(Iq.nvars, Iw.nvars))
-    if grafted.regularity > s:
-        raise InternalInconsistency(
-            "graft regularity %d exceeds the bound %d"
-            % (grafted.regularity, s))
-    return _verified(grafted, target, grafted.regularity,
-                     ["graft at degree %d, slice degree %d" % (m, s)])
-
-
 def witness_min_reg(u: HilbertFunction) -> WitnessCertificate:
     """A verified ideal whose quotient has Hilbert function u and the least
     regularity among all subschemes with that function.
@@ -415,4 +253,10 @@ def witness_min_reg(u: HilbertFunction) -> WitnessCertificate:
                    row.regularity)
                 for row in descent.rows)
     log += ("ghl slice of degree %d in %d variables" % (m, nvars),)
-    return _verified(ghl_ideal(u, m, nvars), u, m, log)
+    certificate = WitnessCertificate(ghl_ideal(u, m, nvars), u, m, log)
+    report = verify_witness(certificate)
+    if not report:
+        raise VerificationFailure(
+            "certificate for %s at regularity %d failed verification: %s"
+            % (u, m, report))
+    return certificate

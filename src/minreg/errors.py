@@ -62,14 +62,6 @@ class NotSaturated(DomainError):
     """Operation requires a saturated ideal."""
 
 
-class PreconditionViolation(DomainError):
-    """Explicit precondition of a construction does not hold."""
-
-
-class NoRemovableTerm(DomainError):
-    """No monomial with the required minimal variable power can be removed."""
-
-
 class EmptyClass(DomainError):
     """No scheme with the given Hilbert polynomial and regularity exists."""
 
@@ -88,8 +80,8 @@ class TooManyDigits(DomainError):
 
 
 class VerificationFailure(MinregError):
-    """A builder's certificate failed verify_witness, the independent
-    check that every builder runs on its result."""
+    """The witness builder's certificate failed verify_witness, the
+    independent check that it runs on its result."""
 
     exit_code = 3
 

@@ -113,16 +113,6 @@ class AdmissiblePolynomial:
             return None
         return AdmissiblePolynomial(self.coordinates[1:])
 
-    def __add__(self, c: int) -> "AdmissiblePolynomial":
-        """p + c for an integer c >= 0: c more constant summands."""
-        return AdmissiblePolynomial(
-            (self.coordinates[0] + c,) + self.coordinates[1:])
-
-    @classmethod
-    def constant(cls, c: int) -> "AdmissiblePolynomial":
-        """The constant polynomial c >= 1."""
-        return cls((c,))
-
     def at_least_from(self, other, start: int) -> bool:
         """True when p(t) >= other(t) at every integer t >= start; other
         None is the zero polynomial.

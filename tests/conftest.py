@@ -15,15 +15,18 @@ members; reference_ghl_ideal() chains them into the slice-by-slice build
 that borel.ghl_ideal, which reads the generators off the class sizes,
 must agree with.  degree_slice(), saturation() and minimal_terms() work
 on whole slices of the ambient ring, and reference_removal() is the
-removal by
-them that constructions.remove_minimal_term, which works on generators,
-must agree with, refusals and log included.  reference_verify() is the
-scan verifier that constructions.verify_witness must agree with, check
-for check; its count of the standard terms of each degree over the whole
-ambient ring is standard_counts().
-reference_witness() is the paper's chain of expanded liftings down the
-derivative tower, from an artinian lex base, whose ideal
-constructions.witness_min_reg must build in one step.
+paper's removal of one Borel-minimal term by them.  reference_verify()
+is the scan verifier that constructions.verify_witness must agree with,
+check for check; its count of the standard terms of each degree over
+the whole ambient ring is standard_counts().
+stepwise_lifting() is the paper's expanded lifting by whole slices, one
+removal at a time, and reference_witness() chains those liftings down
+the derivative tower, from an artinian lex base; it calls no ghl_ideal,
+and constructions.witness_min_reg must build its ideal in one step.
+artinian_lift() adds a new least variable, and lex_segment_ideal() is
+the saturated lex-segment ideal of a polynomial, the ghl ideal of its
+least function at its Gotzmann number.  minus_minus() is a_<t> by one
+Macaulay expansion, and degrevlex_key() the degrevlex sort key.
 sweep_classes() reads the benchmark's sweep of fixture classes, each
 with its stored certificate.
 reference_expand() is the plain greedy Macaulay expansion, doubling up
@@ -51,15 +54,12 @@ from itertools import combinations_with_replacement, islice
 import pytest
 from hypothesis import strategies as st
 
-from minreg.binomials import binom
-from minreg.borel import (StronglyStableIdeal, artinian_lift, basis_size,
-                          degrevlex_key, ek_index, min_index, slice_heights,
-                          term_string)
-from minreg.constructions import (VerificationReport, WitnessCertificate,
-                                  expanded_lifting)
-from minreg.errors import (InternalInconsistency, NoRemovableTerm,
-                           NotAdmissible, PreconditionViolation)
-from minreg.functions import HilbertFunction, descent_step
+from minreg.binomials import binom, macaulay_expand
+from minreg.borel import (StronglyStableIdeal, basis_size, ek_index,
+                          ghl_ideal, min_index, slice_heights, term_string)
+from minreg.constructions import VerificationReport, WitnessCertificate
+from minreg.errors import InternalInconsistency, NotAdmissible
+from minreg.functions import HilbertFunction, descent_step, minimal_function
 from minreg.polynomials import polynomial_from_coefficients, slice_growth
 
 
@@ -84,6 +84,21 @@ def contains(J, term):
 def lex_key(term):
     """Sort key for lex among equal degrees: compare top variables first."""
     return tuple(reversed(term))
+
+
+def degrevlex_key(term):
+    """Sort key for degrevlex: by degree, then by the exponents of x0, x1,
+    ... in turn, a larger exponent first."""
+    return (sum(term), tuple(-e for e in term))
+
+
+def minus_minus(a, t):
+    """a_<t>: one subtracted from every top and every index of the
+    Macaulay expansion of a in base t; 0 for a = 0."""
+    if a == 0:
+        return 0
+    return sum(binom(k - 1, i - 1)
+               for k, i in zip(macaulay_expand(a, t), range(t, 0, -1)))
 
 
 def monomial_basis(nvars, degree):
@@ -191,6 +206,25 @@ def reference_ghl_ideal(f, s, nvars):
                                   slice_heights(f, s, nvars)))
 
 
+def artinian_lift(A):
+    """A inside K[x0, ..., xn], x0 a new least variable: saturated, with
+    the generators' degrees, and its quotient function is the running
+    sums of A's."""
+    return StronglyStableIdeal(A.nvars + 1,
+                               frozenset((0,) + g for g in A.generators))
+
+
+def lex_segment_ideal(p):
+    """The saturated lex-segment ideal with Hilbert polynomial p, of
+    Gotzmann number r >= 2.  Its quotient function f is the least one with
+    polynomial p, and its degree-r slice, the lex-first C(r+n, n) - p(r)
+    terms, takes the lex-first terms of every class, so it is the ghl
+    slice of f at r."""
+    r = p.gotzmann_number
+    f = minimal_function(p, r - 1)
+    return ghl_ideal(f, r, f(1))
+
+
 def ideal(nvars, *gens):
     """The ideal with these minimal generators; asserts that none divides
     another and that every raising of a generator stays in the ideal."""
@@ -245,18 +279,22 @@ def minimal_terms(B):
                  if not any(low in B.terms for low in lowerings(term)))
 
 
+class NoRemovableTerm(LookupError):
+    """reference_removal finds no Borel-minimal term to drop."""
+
+
 def reference_removal(J, s, t_bar):
     """Drop the degrevlex-least Borel-minimal term with x0-exponent
-    s - t_bar from J's degree-s slice, and saturate what is left."""
+    s - t_bar from J's degree-s slice, and saturate what is left.  Refuses
+    with ValueError an input outside the removal's domain."""
     if not J.is_saturated:
-        raise PreconditionViolation("removal needs a saturated ideal")
+        raise ValueError("removal needs a saturated ideal")
     if s < max(J.regularity, 1):
-        raise PreconditionViolation(
-            "slice degree %d is below the regularity %d"
-            % (s, J.regularity))
+        raise ValueError("slice degree %d is below the regularity %d"
+                         % (s, J.regularity))
     if not 0 <= t_bar < s:
-        raise PreconditionViolation(
-            "need 0 <= t_bar < s, got t_bar=%d s=%d" % (t_bar, s))
+        raise ValueError("need 0 <= t_bar < s, got t_bar=%d s=%d"
+                         % (t_bar, s))
     B = degree_slice(J, s)
     candidates = [term for term in minimal_terms(B)
                   if term[0] == s - t_bar]
@@ -348,12 +386,43 @@ def extended(J, nvars):
         nvars, frozenset([g + pad for g in J.generators] + units))
 
 
+def stepwise_lifting(f, Jz, log=None):
+    """The paper's expanded lifting of Jz to the function f, by whole
+    slices: from the degree-m slice of Jz lifted by a new least variable,
+    m = max(reg(Jz), reg(f) + 1), drop one Borel-minimal term at a time,
+    the degrevlex-least one at the first degree where the quotient
+    function still differs from f, and bring the slice back to ghl form
+    after every removal.  Each removal is appended to log, if given."""
+    m = max(Jz.regularity, f.regularity + 1)
+    B = degree_slice(artinian_lift(Jz), m)
+    while True:
+        B = lgh(B)
+        result = saturate_slice(B)
+        achieved = result.hilbert_function()
+        if achieved == f:
+            return result
+        assert achieved.dominated_by(f)
+        t_bar = next(t for t in range(m) if achieved(t) != f(t))
+        candidates = [term for term in minimal_terms(B)
+                      if term[0] == m - t_bar]
+        if not candidates:
+            raise NoRemovableTerm("no candidate at degree %d" % t_bar)
+        term = min(candidates, key=degrevlex_key)
+        if log is not None:
+            log.append("removed %s (gap at degree %d)"
+                       % (term_string(term), t_bar))
+        B = BorelSet(B.nvars, m, B.terms - {term})
+
+
 def reference_witness(u):
     """The minimal witness of the scheme function u by the paper's chain:
     lift a witness of the minimal function that the descent fits under
     the difference of u (the zero ideal for a linear space), bottoming
     out at the artinian lex ideal of the difference of a constant-tailed
-    function.  Unverified; the log is the levels' logs, bottom first."""
+    function.  Each level is a stepwise_lifting, so no ghl_ideal call is
+    made.  Unverified; its regularity is max(reg of the section,
+    reg(u) + 1) at each level, and the log is the levels' logs, bottom
+    first."""
     if u.tail.degree == 0:
         base = artinian_lex_ideal(u.delta())
         return WitnessCertificate(artinian_lift(base), u, u.regularity + 1,
@@ -370,10 +439,13 @@ def reference_witness(u):
         W, section_log = section.ideal, section.log
     if W.nvars < u(1) - 1:
         W = extended(W, u(1) - 1)
-    lifted = expanded_lifting(u, W)
-    log = section_log + ("section fitted at regularity %d" % fit,) \
-        + lifted.log
-    return WitnessCertificate(lifted.ideal, u, lifted.regularity, log)
+    m = max(W.regularity, u.regularity + 1)
+    log = list(section_log) + [
+        "section fitted at regularity %d" % fit,
+        "lifted %d generators into %d variables, working degree %d"
+        % (len(W.generators), W.nvars + 1, m)]
+    lifted = stepwise_lifting(u, W, log)
+    return WitnessCertificate(lifted, u, m, tuple(log))
 
 
 # Random Gotzmann writings: non-increasing lists of run degrees, which

@@ -9,10 +9,10 @@ from time import monotonic
 
 import pytest
 
-from minreg.binomials import macaulay_expand, minus_minus, plus_plus
-from minreg.borel import (StronglyStableIdeal, borel_leq, lex_segment_ideal,
+from minreg.binomials import macaulay_expand, plus_plus
+from minreg.borel import (StronglyStableIdeal, borel_leq, ghl_ideal,
                           slice_heights)
-from minreg.constructions import (expanded_lifting, verify_witness,
+from minreg.constructions import (WitnessCertificate, verify_witness,
                                   witness_min_reg)
 from minreg.errors import EmptyClass
 from minreg.functions import (is_admissible_function, is_scheme_function,
@@ -23,8 +23,9 @@ from minreg.polynomials import parse_polynomial
 from minreg.regularity import (min_regularity, min_regularity_at,
                                min_regularity_of_function)
 
-from conftest import (BorelSet, contains, degree_slice, ghl_set, ideal, lgh,
-                      monomial_basis, saturate_slice, saturation)
+from conftest import (BorelSet, contains, degree_slice, ghl_set, ideal,
+                      lex_segment_ideal, lgh, minus_minus, monomial_basis,
+                      saturate_slice, saturation, stepwise_lifting)
 
 
 def poly(text):
@@ -120,11 +121,9 @@ def test_criterion_5_growth_height_normalization(record_property):
 
 def test_criterion_6_lifting_example(record_property):
     record_property("criterion", "6 (curve lifted from its section)")
-    cert = expanded_lifting(parse_hilbert_function("1,5,11 ; 15z-24"),
-                            SECTION15)
-    assert cert.ideal == CURVE15
-    assert cert.regularity == 5
-    assert verify_witness(cert).ok
+    f = parse_hilbert_function("1,5,11 ; 15z-24")
+    assert stepwise_lifting(f, SECTION15) == ghl_ideal(f, 5, 5) == CURVE15
+    assert verify_witness(WitnessCertificate(CURVE15, f, 5, ())).ok
 
 
 SWEEP_FIXTURES = ["5z-3", "9z-7", "12z-24", "12z-25", "15z-24", "2z+2",

@@ -4,10 +4,12 @@ The expansion, a tuple of tops with indices counting down from the base,
 is checked against its defining constraints (value, strictly decreasing
 tops, each top at least its index, lowest index at least 1), which pin it
 down uniquely, and against the plain greedy conftest.reference_expand.
-The lowered chain is checked against repeated minus_minus.
+The lowered chain is checked against repeated conftest.minus_minus, a_<t>
+by one expansion each.
 plus_plus is checked against an independent set-theoretic oracle: the
 growth of the complement of a lex ideal, counted by hand from monomials.
-minus_minus is checked against its dual minimality property.
+minus_minus, with which the tests check the chain, is checked against
+its dual minimality property.
 """
 
 import random
@@ -15,9 +17,9 @@ import random
 import pytest
 
 from minreg.binomials import (binom, lowered_chain, macaulay_expand,
-                              minus_minus, plus_plus)
+                              plus_plus)
 
-from conftest import reference_expand
+from conftest import minus_minus, reference_expand
 
 
 def _value(tops, t):

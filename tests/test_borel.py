@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from minreg.binomials import binom
-from minreg.borel import (StronglyStableIdeal, artinian_lift, borel_leq,
-                          degrevlex_key, deglex_key, ghl_ideal,
-                          lex_segment_ideal, lex_terms, min_index,
-                          term_string)
+from minreg.borel import (StronglyStableIdeal, borel_leq, deglex_key,
+                          ghl_ideal, lex_terms, min_index, term_string)
 from minreg.errors import DegreeMismatch, NotAdmissible, NotSaturated
 from minreg.functions import (HilbertFunction, min_scheme_regularity,
                               minimal_function, minimal_scheme_function,
@@ -19,8 +17,9 @@ from minreg.polynomials import (AdmissiblePolynomial, parse_polynomial,
                                 polynomial_from_coefficients)
 from minreg.regularity import min_regularity_of_function
 
-from conftest import (BorelSet, artinian_lex_ideal, contains, degree_slice,
-                      from_writing, ideal, lex_key, lgh, minimal_terms,
+from conftest import (BorelSet, artinian_lex_ideal, artinian_lift, contains,
+                      degree_slice, degrevlex_key, from_writing, ideal,
+                      lex_key, lex_segment_ideal, lgh, minimal_terms,
                       monomial_basis, partial_sums, reference_ghl_ideal,
                       saturate_slice, saturation, sweep_classes, writings)
 from test_verifier import budget

@@ -303,6 +303,17 @@ def test_witness_rejects_a_mismatched_tail(capsys):
     assert run(capsys, "witness", "--hf", "1,2,3")[0] == 2
 
 
+@pytest.mark.parametrize("text", ["1 ; 0", "1,3 ; 0", "1 ; 1",
+                                  "1,2,3 ; z+1", "1,4 ; 5z-3"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_witness_refuses_what_minreg_refuses(capsys, text, flags):
+    # A function outside the descent's domain, a zero tail included, is
+    # a domain outcome for both commands, with the same error.
+    refused = run(capsys, "witness", "--hf", text, *flags)
+    assert refused == run(capsys, "minreg", "--hf", text, *flags)
+    assert refused[0] == 1
+
+
 def test_witness_and_verify_through_files(tmp_path, capsys):
     path = tmp_path / "cert.json"
     code, out, _ = run(capsys, "witness", "15z-24",

@@ -1,30 +1,28 @@
-"""Tests for the witness constructions and their verifier."""
+"""Tests for the witness builder and its verifier, and for the paper's
+stepwise constructions, kept in conftest as its references."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 
-from minreg import constructions
-from minreg.borel import (StronglyStableIdeal, artinian_lift, degrevlex_key,
-                          ek_index, ghl_ideal, slice_heights, term_string)
+from minreg import borel, constructions
+from minreg.borel import StronglyStableIdeal, ek_index, ghl_ideal, term_string
 from minreg.constructions import (WitnessCertificate, certificate_from_dict,
-                                  expanded_lifting, ideal_graft,
-                                  remove_minimal_term, verify_witness,
-                                  witness_min_reg)
-from minreg.errors import (LinearVariety, NoRemovableTerm, NotSchemeHF,
-                           PreconditionViolation, VerificationFailure)
-from minreg.functions import (minimal_function, minimal_function_exact,
-                              minimal_scheme_function, min_scheme_regularity,
-                              parse_hilbert_function)
+                                  verify_witness, witness_min_reg)
+from minreg.errors import LinearVariety, NotSchemeHF, VerificationFailure
+from minreg.functions import (HilbertFunction, minimal_function,
+                              minimal_function_exact, minimal_scheme_function,
+                              min_scheme_regularity, parse_hilbert_function)
 from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
 from minreg.regularity import min_regularity, min_regularity_at
 
 import conftest
-from conftest import (BorelSet, degree_slice, from_writing, ghl_set, ideal,
-                      lex_key, lgh, minimal_terms, reference_removal,
-                      reference_witness, saturate_slice, saturation,
-                      sweep_classes, writings)
+from conftest import (NoRemovableTerm, artinian_lift, degrevlex_key,
+                      from_writing, ideal, lex_segment_ideal,
+                      reference_removal, reference_witness, saturation,
+                      stepwise_lifting, sweep_classes, writings)
 from test_borel import random_borel_set
 
 
@@ -50,145 +48,117 @@ STRAIGHTENED = ideal(5, (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1),
 
 
 def test_expanded_lifting_reference_run():
-    cert = expanded_lifting(hf("1,5,11 ; 15z-24"), SECTION15)
-    assert cert.ideal == CURVE15
-    assert cert.regularity == 5
-    assert cert.hilbert_function == hf("1,5,11 ; 15z-24")
-    assert any("removed x0^4*x4" in line for line in cert.log)
-    assert verify_witness(cert).ok
-
-
-def stepwise_lifting(f, Jz):
-    """Reference lifting: from the lifted slice, drop one Borel-minimal term
-    at a time, the degrevlex-least one at the first gap to f, and bring
-    the slice back to ghl form after every removal."""
-    m = max(Jz.regularity, f.regularity + 1)
-    B = degree_slice(artinian_lift(Jz), m)
-    while True:
-        B = lgh(B)
-        ideal = saturate_slice(B)
-        achieved = ideal.hilbert_function()
-        if achieved == f:
-            return ideal
-        assert achieved.dominated_by(f)
-        t_bar = next(t for t in range(m) if achieved(t) != f(t))
-        candidates = [term for term in minimal_terms(B)
-                      if term[0] == m - t_bar]
-        if not candidates:
-            raise NoRemovableTerm("no candidate at degree %d" % t_bar)
-        term = min(candidates, key=degrevlex_key)
-        B = BorelSet(B.nvars, m, B.terms - {term})
-
-
-def sliced_lifting_log(f, Jz):
-    """The removal lines of a lifting's log as the difference of two
-    whole slices: the lift's degree-m slice in ghl form, less the ghl set
-    with its growth classes and the height classes of f."""
-    lifted = artinian_lift(Jz)
-    m = max(Jz.regularity, f.regularity + 1)
-    start = lgh(degree_slice(lifted, m))
-    kept = ghl_set(lifted.nvars, m, start.growth_vector(),
-                   slice_heights(f, m, lifted.nvars))
-    return tuple("removed %s (gap at degree %d)" % (term_string(t), m - t[0])
-                 for t in sorted(start.terms - kept.terms,
-                                 key=lambda t: (-t[0], lex_key(t))))
+    f = hf("1,5,11 ; 15z-24")
+    log = []
+    assert stepwise_lifting(f, SECTION15, log) == CURVE15
+    assert "removed x0^4*x4 (gap at degree 1)" in log
+    assert ghl_ideal(f, 5, 5) == CURVE15
+    assert verify_witness(WitnessCertificate(CURVE15, f, 5, ())).ok
 
 
 def test_expanded_lifting_matches_the_stepwise_removals(monkeypatch):
-    f = hf("1,5,11 ; 15z-24")
-    assert expanded_lifting(f, SECTION15).ideal \
-        == stepwise_lifting(f, SECTION15) == CURVE15
+    # Every lifting of the paper's chain, on the witness table, keeps the
+    # ghl slice of its target at its working degree.
     calls = []
 
-    def recorded(f, Jz):
-        cert = expanded_lifting(f, Jz)
-        calls.append((f, Jz, cert))
-        return cert
+    def recorded(f, Jz, log=None):
+        lifted = stepwise_lifting(f, Jz, log)
+        calls.append((f, Jz, lifted, log))
+        return lifted
 
-    monkeypatch.setattr(conftest, "expanded_lifting", recorded)
+    monkeypatch.setattr(conftest, "stepwise_lifting", recorded)
     for text, rho, _ in WITNESS_TABLE:
         reference_witness(minimal_scheme_function(poly(text), rho))
     assert len(calls) >= len(WITNESS_TABLE)
-    assert any(len(cert.log) > 1 for _, _, cert in calls)
-    for f, Jz, cert in calls:
-        assert cert.ideal == stepwise_lifting(f, Jz), f
-        assert cert.log[1:] == sliced_lifting_log(f, Jz), f
+    assert any(line.startswith("removed")
+               for _, _, _, log in calls for line in log)
+    for f, Jz, lifted, _ in calls:
+        m = max(Jz.regularity, f.regularity + 1)
+        assert ghl_ideal(f, m, Jz.nvars + 1) == lifted, f
+        assert lifted.regularity <= m, f
 
 
 def test_expanded_lifting_without_removals():
     f = artinian_lift(SECTION15).hilbert_function()
-    cert = expanded_lifting(f, SECTION15)
-    assert cert.hilbert_function == f
-    assert cert.regularity == 5
-    assert len(cert.log) == 1
+    log = []
+    lifted = stepwise_lifting(f, SECTION15, log)
+    assert lifted == artinian_lift(SECTION15)
+    assert log == []
+    assert ghl_ideal(f, 5, 5) == lifted
 
 
-def test_expanded_lifting_preconditions():
-    f = hf("1,5,11 ; 15z-24")
-    with pytest.raises(PreconditionViolation):
-        expanded_lifting(hf("1,5 ; 2"), SECTION15)
-    with pytest.raises(PreconditionViolation):
-        expanded_lifting(f, ideal(2, (0, 2), (1, 1)))
-    # fifteen points cannot section a curve of degree twelve
-    with pytest.raises(PreconditionViolation):
-        expanded_lifting(minimal_function(poly("12z-24"), 5), SECTION15)
-    # the section function must fit under the first difference
-    fat = minimal_function(poly("15z-24"), 8)
-    with pytest.raises(PreconditionViolation):
-        expanded_lifting(fat, SECTION15)
-    # (x1,x2)^5 in three variables fits under the difference, but f needs
-    # one variable more than its lift has
-    square5 = ideal(3, *[(0, 5 - k, k) for k in range(6)])
-    with pytest.raises(NoRemovableTerm):
-        expanded_lifting(f, square5)
+def bumped_values(J, t_bar, stop):
+    """The quotient function of J, plus one from degree t_bar on, up to
+    stop."""
+    h = J.hilbert_function()
+    return [h(t) + (t >= t_bar) for t in range(stop)]
 
 
-def test_removal_reference_run():
-    cert = remove_minimal_term(STRAIGHTENED, 5, 3)
-    assert cert.hilbert_function == hf("1,5 ; 9z-7")
-    assert cert.regularity == 5
-    assert "x0^2*x2*x3^2" in cert.log[0]
+def check_the_removal_lemma(J, s, t_bar, cert):
+    """The paper's removal lemma on reference_removal's certificate: the
+    term dropped is x0^(s-t_bar)*v, v the degrevlex-least generator of
+    degree t_bar; the saturation replaces v by its multiples v*x_j,
+    1 <= j <= ek_index(v); the quotient gains one in every degree from
+    t_bar on, and the regularity m moves to m+1 exactly when t_bar = m."""
+    v = min((g for g in J.generators if sum(g) == t_bar), key=degrevlex_key)
+    assert cert.log == ("removed %s from the degree-%d slice"
+                        % (term_string((s - t_bar,) + v[1:]), s),)
+    multiples = {v[:j] + (v[j] + 1,) + v[j + 1:]
+                 for j in range(1, ek_index(v) + 1)}
+    assert cert.ideal.generators == J.generators - {v} | multiples
+    m = J.regularity
+    assert cert.regularity == (m + 1 if t_bar == m else m)
+    stop = m + 8
+    assert [cert.hilbert_function(t) for t in range(stop)] \
+        == bumped_values(J, t_bar, stop)
     assert verify_witness(cert).ok
 
 
+def test_removal_reference_run():
+    cert = reference_removal(STRAIGHTENED, 5, 3)
+    assert cert.hilbert_function == hf("1,5 ; 9z-7")
+    assert cert.regularity == 5
+    assert "x0^2*x2*x3^2" in cert.log[0]
+    check_the_removal_lemma(STRAIGHTENED, 5, 3, cert)
+
+
 def test_removal_at_the_regularity_raises_it():
-    cert = remove_minimal_term(CURVE15, 6, 5)
+    cert = reference_removal(CURVE15, 6, 5)
     assert cert.regularity == 6
     before = CURVE15.hilbert_function()
     assert cert.hilbert_function(4) == before(4)
     assert cert.hilbert_function(5) == before(5) + 1
     assert cert.hilbert_function(9) == before(9) + 1
+    check_the_removal_lemma(CURVE15, 6, 5, cert)
 
 
 def test_removal_keeps_low_degrees():
-    cert = remove_minimal_term(STRAIGHTENED, 5, 3)
+    cert = reference_removal(STRAIGHTENED, 5, 3)
     before = STRAIGHTENED.hilbert_function()
     for t in range(3):
         assert cert.hilbert_function(t) == before(t)
 
 
-def removal_outcome(remove, J, s, t_bar):
-    try:
-        cert = remove(J, s, t_bar)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return cert.ideal, cert.hilbert_function, cert.regularity, cert.log
-
-
 def removals_match_the_slice_reference(ideals):
-    """Every s from reg to reg + 2 and every t_bar < s on each ideal; the
-    numbers of certificates and of refusals."""
+    """Every s from reg to reg + 2 and every t_bar < s on each ideal: the
+    slice reference removes a term exactly when the ideal has a generator
+    of degree t_bar, and then by the removal lemma.  The numbers of
+    certificates and of refusals."""
     removed = refused = 0
     for J in ideals:
         for s in range(J.regularity, J.regularity + 3):
             for t_bar in range(s):
-                got = removal_outcome(remove_minimal_term, J, s, t_bar)
-                assert got == removal_outcome(reference_removal, J, s,
-                                              t_bar), (J, s, t_bar)
-                if isinstance(got[0], StronglyStableIdeal):
-                    removed += 1
-                else:
+                removable = s >= 1 and any(sum(g) == t_bar
+                                           for g in J.generators)
+                try:
+                    cert = reference_removal(J, s, t_bar)
+                except (ValueError, NoRemovableTerm):
+                    assert not removable, (J, s, t_bar)
                     refused += 1
+                    continue
+                assert removable, (J, s, t_bar)
+                check_the_removal_lemma(J, s, t_bar, cert)
+                removed += 1
     return removed, refused
 
 
@@ -211,13 +181,31 @@ def test_removal_matches_the_slice_reference_on_the_sweep():
 
 def test_removal_errors():
     with pytest.raises(NoRemovableTerm):
-        remove_minimal_term(STRAIGHTENED, 5, 0)
-    with pytest.raises(PreconditionViolation):
-        remove_minimal_term(STRAIGHTENED, 4, 2)
-    with pytest.raises(PreconditionViolation):
-        remove_minimal_term(STRAIGHTENED, 5, 5)
-    with pytest.raises(PreconditionViolation):
-        remove_minimal_term(ideal(2, (0, 2), (1, 1)), 3, 1)
+        reference_removal(STRAIGHTENED, 5, 0)
+    with pytest.raises(ValueError):
+        reference_removal(STRAIGHTENED, 4, 2)
+    with pytest.raises(ValueError):
+        reference_removal(STRAIGHTENED, 5, 5)
+    with pytest.raises(ValueError):
+        reference_removal(ideal(2, (0, 2), (1, 1)), 3, 1)
+
+
+def graft(Iq, Iw, m):
+    """The paper's ideal graft of the quotient of Iw below degree m onto
+    that of Iq, for w(m-1) = q(m-1) and w(m-2) <= q(m-2): the spliced
+    function, the slice degree s = max(m, reg(Iq)) and the ghl ideal of
+    that function at s, whose regularity is at most s."""
+    q, w = Iq.hilbert_function(), Iw.hilbert_function()
+    assert m > 1 and w(m - 1) == q(m - 1) and w(m - 2) <= q(m - 2)
+    target = HilbertFunction(tuple(w(t) if t < m else q(t)
+                                   for t in range(max(m, q.regularity))),
+                             q.tail)
+    s = max(m, Iq.regularity)
+    grafted = ghl_ideal(target, s, max(Iq.nvars, Iw.nvars))
+    assert grafted.regularity <= s
+    assert verify_witness(WitnessCertificate(
+        grafted, target, grafted.regularity, ())).ok
+    return target, grafted
 
 
 def test_graft_realizes_the_next_regularity():
@@ -228,37 +216,26 @@ def test_graft_realizes_the_next_regularity():
     bumped = witness_min_reg(g7)
     assert base.regularity == 8
     assert bumped.regularity == 9
-    cert = ideal_graft(base.ideal, bumped.ideal, 9)
-    assert cert.hilbert_function == g7
-    assert cert.regularity == 9
-    assert verify_witness(cert).ok
+    target, grafted = graft(base.ideal, bumped.ideal, 9)
+    assert target == g7
+    assert grafted.regularity == 9
 
 
 def test_graft_of_points():
     four = poly("4")
     q = witness_min_reg(minimal_function(four, 1))
     w = witness_min_reg(minimal_function(four, 3))
-    cert = ideal_graft(q.ideal, w.ideal, 4)
-    assert cert.hilbert_function == minimal_function(four, 3)
-    assert cert.regularity <= 4
+    target, grafted = graft(q.ideal, w.ideal, 4)
+    assert target == minimal_function(four, 3)
+    assert grafted.regularity <= 4
 
 
 def test_graft_with_itself_changes_nothing():
     f6 = minimal_function(poly("12z-25"), 6)
     base = witness_min_reg(f6).ideal
-    cert = ideal_graft(base, base, 8)
-    assert cert.hilbert_function == f6
-    assert cert.regularity <= 8
-
-
-def test_graft_preconditions():
-    f6 = minimal_function(poly("12z-25"), 6)
-    base = witness_min_reg(f6).ideal
-    with pytest.raises(PreconditionViolation):
-        ideal_graft(base, base, 1)
-    other = witness_min_reg(minimal_function(poly("4"), 1)).ideal
-    with pytest.raises(PreconditionViolation):
-        ideal_graft(base, other, 4)
+    target, grafted = graft(base, base, 8)
+    assert target == f6
+    assert grafted == base
 
 
 WITNESS_TABLE = [
@@ -324,6 +301,28 @@ def test_witness_of_exact_function_needs_more_removals():
     assert cert.log[-1] == "ghl slice of degree 9 in 4 variables"
 
 
+def test_the_chain_reference_makes_no_ghl_call(monkeypatch):
+    # The reference for the one-step witness builds every level by whole
+    # slices, so it still runs with ghl_ideal out of reach.
+    functions = [minimal_scheme_function(poly(text), rho)
+                 for text, rho, _ in WITNESS_TABLE]
+    functions += [hf(cls["function"]) for cls in sweep_classes()]
+    expected = [witness_min_reg(u).ideal for u in functions]
+
+    def refused(*args):
+        raise AssertionError("ghl_ideal called")
+
+    original = borel.ghl_ideal
+    for module in list(sys.modules.values()):
+        if getattr(module, "ghl_ideal", None) is original:
+            monkeypatch.setattr(module, "ghl_ideal", refused)
+    with pytest.raises(AssertionError, match="ghl_ideal called"):
+        witness_min_reg(functions[0])
+    assert len(functions) == 61
+    for u, ideal_u in zip(functions, expected):
+        assert reference_witness(u).ideal == ideal_u, u
+
+
 def without_a_top_generator(*args):
     """ghl_ideal's ideal less one generator of top degree."""
     J = ghl_ideal(*args)
@@ -331,28 +330,14 @@ def without_a_top_generator(*args):
     return StronglyStableIdeal(J.nvars, J.generators - {top})
 
 
-@pytest.mark.parametrize("builder", ["witness", "lifting", "graft",
-                                     "removal"])
+@pytest.mark.parametrize("builder", ["witness"])
 def test_builders_refuse_a_sabotaged_result(monkeypatch, builder):
-    # Every builder verifies its certificate, so a wrong ideal, whatever
+    # The builder verifies its certificate, so a wrong ideal, whatever
     # step made it, is a VerificationFailure.
     f6 = minimal_function(poly("12z-25"), 6)
-    base = witness_min_reg(f6).ideal
-    builds = {
-        "witness": lambda: witness_min_reg(f6),
-        "lifting": lambda: expanded_lifting(hf("1,5,11 ; 15z-24"),
-                                            SECTION15),
-        "graft": lambda: ideal_graft(base, base, 8),
-        "removal": lambda: remove_minimal_term(STRAIGHTENED, 5, 3),
-    }
-    if builder == "removal":
-        monkeypatch.setattr(constructions, "ek_index",
-                            lambda v: ek_index(v) - 1)
-    else:
-        monkeypatch.setattr(constructions, "ghl_ideal",
-                            without_a_top_generator)
+    monkeypatch.setattr(constructions, "ghl_ideal", without_a_top_generator)
     with pytest.raises(VerificationFailure, match="failed verification"):
-        builds[builder]()
+        witness_min_reg(f6)
 
 
 def test_witness_rejects_bad_functions():
@@ -409,7 +394,7 @@ def test_witness_respects_global_bounds():
 
 
 def test_verifier_spots_tampering():
-    cert = expanded_lifting(hf("1,5,11 ; 15z-24"), SECTION15)
+    cert = WitnessCertificate(CURVE15, hf("1,5,11 ; 15z-24"), 5, ())
     assert verify_witness(cert).ok
     smaller = StronglyStableIdeal(
         5, cert.ideal.generators - {(0, 0, 5, 0, 0)})
@@ -440,7 +425,6 @@ def test_verifier_judges_the_structure(nvars, gens, failed):
 
 
 def test_lex_segment_packages_as_a_certificate():
-    from minreg.borel import lex_segment_ideal
     p = poly("5z-3")
     segment = lex_segment_ideal(p)
     cert = WitnessCertificate(segment, segment.hilbert_function(),

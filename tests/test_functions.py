@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from minreg.binomials import minus_minus, plus_plus
+from minreg.binomials import plus_plus
 from minreg.errors import (NegativeDerivative, NotAdmissible, ParseError,
                            RhoTooSmall)
 from minreg.functions import (HilbertFunction, is_admissible_function,
@@ -20,7 +20,7 @@ from minreg.functions import (HilbertFunction, is_admissible_function,
                               minimal_scheme_function, parse_hilbert_function)
 from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
 
-from conftest import partial_sums, values
+from conftest import minus_minus, partial_sums, values
 
 
 def hf(text):

@@ -1,0 +1,95 @@
+"""The package's public surface: the names it exports, and the README's
+library example and command lines, run as written."""
+
+import os
+import re
+import shlex
+
+import pytest
+
+import minreg
+from minreg import cli
+
+PUBLIC = [
+    "AdmissiblePolynomial", "AmbientTooSmall", "DegreeMismatch",
+    "DomainError", "EmptyClass", "HilbertFunction", "InputError",
+    "InternalInconsistency", "LinearVariety", "MinregError",
+    "NegativeDerivative", "NotAdmissible", "NotSaturated", "NotSchemeHF",
+    "ParseError", "RegularityReport", "RhoTooSmall", "StronglyStableIdeal",
+    "TooManyDigits", "VerificationFailure", "VerificationReport",
+    "WitnessCertificate", "borel_leq", "certificate_from_dict",
+    "is_admissible_function", "is_scheme_function",
+    "min_function_regularity", "min_regularity", "min_regularity_at",
+    "min_regularity_in_space", "min_regularity_of_function",
+    "min_scheme_regularity", "minimal_function", "minimal_function_exact",
+    "minimal_scheme_function", "parse_hilbert_function", "parse_polynomial",
+    "polynomial_from_coefficients", "verify_witness", "witness_min_reg",
+]
+
+# The paper's stepwise constructions and their helpers, which the witness
+# route does not run; the tests keep them in conftest.
+REMOVED = [
+    "NoRemovableTerm", "PreconditionViolation", "artinian_lift",
+    "degrevlex_key", "expanded_lifting", "ideal_graft", "lex_segment_ideal",
+    "minus_minus", "remove_minimal_term",
+]
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      os.pardir, "README.md")
+
+
+def test_the_public_api_is_pinned():
+    assert minreg.__all__ == sorted(PUBLIC)
+    assert len(PUBLIC) == 40
+    for name in PUBLIC:
+        assert getattr(minreg, name) is not None, name
+    modules = [minreg.binomials, minreg.borel, minreg.cli,
+               minreg.constructions, minreg.errors, minreg.functions,
+               minreg.polynomials, minreg.regularity]
+    for name in REMOVED:
+        with pytest.raises(ImportError):
+            exec("from minreg import %s" % name, {})
+        for module in modules:
+            assert not hasattr(module, name), (module.__name__, name)
+
+
+def readme_block(heading, language=""):
+    """The first fenced block after a README heading, as its lines."""
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    after = text[text.index("## %s\n" % heading):]
+    start = after.index("```%s\n" % language) + len(language) + 4
+    return after[start:after.index("```", start)].splitlines()
+
+
+def test_the_readme_library_example_runs():
+    exec("\n".join(readme_block("Library example", "python")), {})
+
+
+# A comment that starts with the printed answer: a number, a function
+# like "1,5 ; 9z-7", or a quoted word.
+ANSWER = re.compile(r'(?:"(?P<quoted>[^"]*)"|(?P<plain>\d[\d,]*(?: ; \S+)?))'
+                    r'(?:,|$)')
+
+
+def test_the_readme_command_lines_give_their_answers(tmp_path, capsys,
+                                                     monkeypatch):
+    # Run in a scratch directory: one line writes cert.json and the next
+    # verifies it.
+    monkeypatch.chdir(tmp_path)
+    lines = readme_block("CLI usage")
+    answered = 0
+    for line in lines:
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "minreg", line
+        code = cli.main(argv[1:])
+        out = capsys.readouterr().out
+        exit_code = re.search(r"exit (\d)", comment)
+        assert code == (int(exit_code.group(1)) if exit_code else 0), line
+        answer = ANSWER.match(comment.strip())
+        if answer:
+            assert out.strip() == (answer.group("quoted")
+                                   or answer.group("plain")), line
+            answered += 1
+    assert (len(lines), answered) == (12, 8)
