@@ -227,6 +227,12 @@ def min_scheme_regularity(p: AdmissiblePolynomial) -> int:
     if p.degree == 0:
         return 0 if p(0) == 1 else 1
     dp = p.derivative()
+    # The minimum of dp needs that of its own derivative, and so on down
+    # to the constant: walk that tower upwards first, so that each cached
+    # call below finds the level under it already computed, instead of
+    # nesting two calls per degree.
+    for k in range(dp.degree, 0, -1):
+        min_function_regularity(AdmissiblePolynomial(dp.coordinates[k:]))
     floor = max(min_function_regularity(dp), 1)
     cap = p.gotzmann_number + 1
     for t in range(floor, cap + 1):

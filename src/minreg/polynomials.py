@@ -14,10 +14,13 @@ A polynomial is held by its coordinates a_0, ..., a_d in the basis
 B_k(z) = C(z + k, k).  As B_k(z) - B_k(z - 1) = B_(k-1) and B_k(-1) = 0
 for k >= 1, a_k = (nabla^k p)(-1), nabla the backward difference: p is
 integer valued iff its coordinates are integers, and everything the
-package does with a polynomial is integer arithmetic on them.  Fractions
-appear only where text comes in (parse_coefficients,
-polynomial_from_coefficients) and where it goes out (__str__, one per
-printed coefficient).
+package does with a polynomial is integer arithmetic on them.  Text is
+integer arithmetic too: a parsed polynomial is its integer monomial
+numerators over one common denominator, and the printer reduces each
+numerator over d! by a gcd.  Fraction is imported only inside the two
+fallbacks for values outside the term grammar: a bracket-list entry such
+as `1.5` or `2e1`, and a library coefficient with no numerator and
+denominator, such as a float.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, zip_longest
 
@@ -37,13 +39,6 @@ def _trim(coeffs):
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def _horner(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _gotzmann_runs(coordinates):
@@ -143,8 +138,9 @@ class AdmissiblePolynomial:
         return True
 
     def __str__(self):
-        """The monomial coefficients of d! p, summed as integers: d!
-        C(z + k, k) is d!/k! times the product of z + 1, ..., z + k."""
+        """The monomial coefficients of d! p, summed as integers (d!
+        C(z + k, k) is d!/k! times the product of z + 1, ..., z + k), each
+        printed over d! in lowest terms."""
         scale = math.factorial(max(self.degree, 0))
         numerators = [0] * len(self.coordinates)
         product = [1]
@@ -158,16 +154,18 @@ class AdmissiblePolynomial:
                     numerators[exp] += weight * c
         parts = []
         for exp in range(self.degree, -1, -1):
-            if numerators[exp] == 0:
+            n = numerators[exp]
+            if n == 0:
                 continue
-            c = Fraction(numerators[exp], scale)
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
+            g = math.gcd(n, scale)
+            num, den = abs(n) // g, scale // g
+            mag = "%d" % num if den == 1 else "%d/%d" % (num, den)
+            sign = "-" if n < 0 else ("+" if parts else "")
             if exp == 0:
-                body = str(mag)
+                body = mag
             else:
                 var = "z" if exp == 1 else "z^%d" % exp
-                body = var if mag == 1 else "%s%s" % (mag, var)
+                body = var if mag == "1" else mag + var
             parts.append(sign + body)
         return "".join(parts) if parts else "0"
 
@@ -215,11 +213,15 @@ def slice_growth(p, degree: int, nvars: int):
 # parsing
 
 
-_TERM_RE = re.compile(r"^([+-]?)(\d+(?:/\d+)?)?(z(\^(\d+))?)?$")
+_PIECE_RE = re.compile(r"[+-]?[^+-]+")
+_TERM_RE = re.compile(r"^([+-]?)(?:(\d+)(?:/(\d+))?)?(z(?:\^(\d+))?)?$")
+_ENTRY_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def parse_coefficients(text: str):
-    """Ascending coefficient tuple from polynomial text.
+    """Polynomial text as (numerators, scale): the ascending monomial
+    coefficients are numerators[i] / scale, all integers, and numerators
+    is () for the zero polynomial.
 
     Accepts sums of terms like `2z^3-6z^2+29z-20` and `1/3z^3+14/3z-4`,
     or a bracketed list `[c_k,...,c_0]` with the leading coefficient first.
@@ -229,59 +231,107 @@ def parse_coefficients(text: str):
         raise ParseError("empty polynomial")
     if s.startswith("["):
         return _parse_bracket_list(s)
-    pieces = re.findall(r"[+-]?[^+-]+", s)
+    pieces = _PIECE_RE.findall(s)
     if "".join(pieces) != s:
         raise ParseError("cannot tokenize polynomial %r" % text)
-    coeffs = {}
+    terms = []
     for piece in pieces:
         m = _TERM_RE.match(piece)
-        if not m or (m.group(2) is None and m.group(3) is None):
+        if not m or (m.group(2) is None and m.group(4) is None):
             raise ParseError("bad term %r in %r" % (piece, text))
-        sign = -1 if m.group(1) == "-" else 1
-        try:
-            coef = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-        except ZeroDivisionError as exc:
-            raise ParseError("zero denominator in %r" % text) from exc
-        exp = 0 if m.group(3) is None else (int(m.group(5)) if m.group(5) else 1)
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
-    top = max(coeffs)
-    return _trim(tuple(coeffs.get(i, Fraction(0)) for i in range(top + 1)))
+        sign, num, den, var, exp = m.groups()
+        num = int(num) if num else 1
+        den = int(den) if den else 1
+        if den == 0:
+            raise ParseError("zero denominator in %r" % text)
+        exp = 0 if var is None else (int(exp) if exp else 1)
+        terms.append((-num if sign == "-" else num, den, exp))
+    return _over_common_denominator(terms)
+
+
+def _over_common_denominator(terms):
+    """(numerators, scale) of a sum of terms num/den z^exp, with scale
+    the lcm of the denominators."""
+    scale = math.lcm(*(den for _, den, _ in terms))
+    numerators = [0] * (max((exp for _, _, exp in terms), default=-1) + 1)
+    for num, den, exp in terms:
+        numerators[exp] += num * (scale // den)
+    return _trim(numerators), scale
 
 
 def _parse_bracket_list(s: str):
+    """Each entry `a` or `a/b` is read as integers; any other entry goes
+    through Fraction, whose grammar (decimals, exponents, underscores)
+    the list has always taken."""
     if not s.endswith("]"):
         raise ParseError("unterminated coefficient list %r" % s)
     inner = s[1:-1]
     if not inner:
         raise ParseError("empty coefficient list")
+    tokens = inner.split(",")
+    terms = []
     try:
-        entries = [Fraction(tok) for tok in inner.split(",")]
+        for i, tok in enumerate(tokens):
+            m = _ENTRY_RE.fullmatch(tok)
+            if m:
+                num, den = int(m.group(1)), int(m.group(2) or 1)
+            else:
+                from fractions import Fraction
+                c = Fraction(tok)
+                num, den = c.numerator, c.denominator
+            if den == 0:
+                raise ParseError("bad coefficient list %r" % s)
+            terms.append((num, den, len(tokens) - 1 - i))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("bad coefficient list %r" % s) from exc
-    return _trim(tuple(reversed(entries)))
+    return _over_common_denominator(terms)
 
 
 def polynomial_from_coefficients(coeffs) -> AdmissiblePolynomial:
     """Admissible polynomial from ascending rational coefficients, with
     any Gotzmann number >= 1.
 
-    Takes the coordinates a_k = (nabla^k p)(-1) from the values at -1,
-    ..., -(d + 1).  NotAdmissible for the zero polynomial, a polynomial
-    that is not integer valued, or one without a Gotzmann writing.
+    Each coefficient is an int, a Fraction or any other number with
+    integer numerator and denominator; anything else, such as a float or
+    a string like "3/2", is read by Fraction(c), whose TypeError or
+    ValueError passes through.  NotAdmissible for the zero polynomial,
+    a polynomial that is not integer valued, or one without a Gotzmann
+    writing.
     """
-    coeffs = _trim(Fraction(c) for c in coeffs)
-    if not coeffs:
+    terms = []
+    for exp, c in enumerate(coeffs):
+        if not hasattr(c, "denominator"):
+            from fractions import Fraction
+            c = Fraction(c)
+        terms.append((int(c.numerator), int(c.denominator), exp))
+    return _from_numerators(*_over_common_denominator(terms))
+
+
+def _from_numerators(numerators, scale: int) -> AdmissiblePolynomial:
+    """The polynomial with monomial coefficients numerators[i] / scale.
+
+    L a_k, L = scale, are the differences nabla^k (L p) at -1 of the
+    integer values L p(-1), ..., L p(-(d + 1)), so p is integer valued
+    iff L divides each of them; the first t >= 0 with L p(t) not
+    divisible by L is named otherwise.
+    """
+    if not numerators:
         raise NotAdmissible("the zero polynomial has no gotzmann writing")
-    level = [_horner(coeffs, -1 - j) for j in range(len(coeffs))]
-    coordinates = []
+    level = []
+    for x in range(-1, -len(numerators) - 1, -1):
+        value = 0
+        for c in reversed(numerators):
+            value = value * x + c
+        level.append(value)
+    scaled = []
     while level:
-        coordinates.append(level[0])
+        scaled.append(level[0])
         level = [a - b for a, b in zip(level, level[1:])]
-    if any(a.denominator != 1 for a in coordinates):
-        t = next(t for t in range(len(coeffs))
-                 if _horner(coeffs, t).denominator != 1)
+    if any(a % scale for a in scaled):
+        multiple = AdmissiblePolynomial(tuple(scaled))
+        t = next(t for t in range(len(scaled)) if multiple(t) % scale)
         raise NotAdmissible("not integer valued at z = %d" % t)
-    p = AdmissiblePolynomial(tuple(int(a) for a in coordinates))
+    p = AdmissiblePolynomial(tuple(a // scale for a in scaled))
     p.runs  # raises NotAdmissible when there is no Gotzmann writing
     return p
 
@@ -289,8 +339,8 @@ def polynomial_from_coefficients(coeffs) -> AdmissiblePolynomial:
 def parse_tail(text: str):
     """Polynomial from text, None for the zero polynomial; tolerates any
     Gotzmann number >= 1, as the tail of a Hilbert function may."""
-    coeffs = parse_coefficients(text)
-    return polynomial_from_coefficients(coeffs) if coeffs else None
+    numerators, scale = parse_coefficients(text)
+    return _from_numerators(numerators, scale) if numerators else None
 
 
 def parse_polynomial(text: str) -> AdmissiblePolynomial:
@@ -300,10 +350,10 @@ def parse_polynomial(text: str) -> AdmissiblePolynomial:
     not a Hilbert polynomial, and LinearVariety when the Gotzmann number
     is below 2 (points, lines and larger linear spaces are out of scope).
     """
-    coeffs = parse_coefficients(text)
-    if not coeffs:
+    numerators, scale = parse_coefficients(text)
+    if not numerators:
         raise NotAdmissible("the zero polynomial is not a Hilbert polynomial here")
-    p = polynomial_from_coefficients(coeffs)
+    p = _from_numerators(numerators, scale)
     if p.gotzmann_number < 2:
         raise LinearVariety(
             "%s is the Hilbert polynomial of a linear variety; its regularity is 0" % p)

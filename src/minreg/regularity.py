@@ -87,22 +87,27 @@ def _check_in_scope(p: AdmissiblePolynomial):
 
 
 def _function_trace(u: HilbertFunction):
-    """Trace rows for the descent starting at the scheme function u."""
-    p, rho_u = u.tail, u.regularity
-    if p.degree == 0:
-        row = TraceRow(p, p.gotzmann_number, min_function_regularity(p),
-                       min_scheme_regularity(p), rho_u, None, rho_u + 1)
-        return (row,)
-    fit, sub = descent_step(u)
-    if sub.regularity != fit:
-        raise InternalInconsistency(
-            "minimal function of %s at %d lost its regularity"
-            % (sub.tail, fit))
-    below = _function_trace(sub)
-    bound = max(rho_u + 1, below[0].regularity)
-    row = TraceRow(p, p.gotzmann_number, min_function_regularity(p),
-                   min_scheme_regularity(p), rho_u, fit, bound)
-    return (row,) + below
+    """Trace rows for the descent starting at the scheme function u, one
+    per level down to the constant tail; each row's bound is the larger
+    of its reg + 1 and the bound of the row below it."""
+    levels = []
+    while u.tail.degree:
+        fit, sub = descent_step(u)
+        if sub.regularity != fit:
+            raise InternalInconsistency(
+                "minimal function of %s at %d lost its regularity"
+                % (sub.tail, fit))
+        levels.append((u, fit))
+        u = sub
+    levels.append((u, None))
+    rows = []
+    bound = 0
+    for u, fit in reversed(levels):
+        p, rho_u = u.tail, u.regularity
+        bound = max(rho_u + 1, bound)
+        rows.append(TraceRow(p, p.gotzmann_number, min_function_regularity(p),
+                             min_scheme_regularity(p), rho_u, fit, bound))
+    return tuple(reversed(rows))
 
 
 def _closed_form(p: AdmissiblePolynomial, rho: int) -> int:

@@ -40,6 +40,10 @@ them that AdmissiblePolynomial.at_least_from must agree with.
 binomial_coeffs() gives C(z + shift, k) in those coefficients, and
 reference_str() is the Fraction printer built on it that
 AdmissiblePolynomial.__str__ must agree with, byte for byte.
+reference_polynomial() is the Fraction route from those coefficients to
+a polynomial, Horner's rule at -1, ..., -(d + 1) and then differences,
+that polynomials.polynomial_from_coefficients must agree with, refusal
+message for refusal message.
 writings is the hypothesis strategy of random Gotzmann writings, and
 from_writing() gives a writing's polynomial in those coefficients.
 """
@@ -60,7 +64,8 @@ from minreg.borel import (StronglyStableIdeal, basis_size, ek_index,
 from minreg.constructions import VerificationReport, WitnessCertificate
 from minreg.errors import InternalInconsistency, NotAdmissible
 from minreg.functions import HilbertFunction, descent_step, minimal_function
-from minreg.polynomials import polynomial_from_coefficients, slice_growth
+from minreg.polynomials import (AdmissiblePolynomial,
+                                polynomial_from_coefficients, slice_growth)
 
 
 SWEEP = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -502,6 +507,27 @@ def reference_str(p):
             body = var if mag == 1 else "%s%s" % (mag, var)
         parts.append(sign + body)
     return "".join(parts) if parts else "0"
+
+
+def reference_polynomial(coeffs):
+    """The polynomial with ascending rational coefficients coeffs, in
+    Fractions: its coordinates a_k = (nabla^k p)(-1) from the values at
+    -1, ..., -(d + 1).  NotAdmissible as the program words it."""
+    coeffs = _trim(Fraction(c) for c in coeffs)
+    if not coeffs:
+        raise NotAdmissible("the zero polynomial has no gotzmann writing")
+    level = [poly_eval(coeffs, -1 - j) for j in range(len(coeffs))]
+    coordinates = []
+    while level:
+        coordinates.append(level[0])
+        level = [a - b for a, b in zip(level, level[1:])]
+    if any(a.denominator != 1 for a in coordinates):
+        t = next(t for t in range(len(coeffs))
+                 if poly_eval(coeffs, t).denominator != 1)
+        raise NotAdmissible("not integer valued at z = %d" % t)
+    p = AdmissiblePolynomial(tuple(int(a) for a in coordinates))
+    p.runs  # raises NotAdmissible when there is no Gotzmann writing
+    return p
 
 
 def poly_add(a, b):

@@ -1,13 +1,18 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import minreg.cli
 from minreg.cli import main
 from minreg.constructions import certificate_from_dict, verify_witness
 from minreg.errors import InternalInconsistency, VerificationFailure
+from minreg.polynomials import quotient_tail
 
 
 def run(capsys, *argv):
@@ -99,6 +104,71 @@ def test_parse_error_exit_code(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "zero denominator" in err
+
+
+def _error(code, message):
+    return {"error": {"code": code, "message": message}, "schema": 1}
+
+
+# Each token's exit code and document from gotzmann, and from minreg
+# --hf "1,2 ; token" where they differ: the term grammar's refusals, and
+# bracket lists read by Fraction's grammar.
+@pytest.mark.parametrize("token,gotzmann,hf", [
+    ("1/0z", (2, _error("ParseError", "zero denominator in '1/0z'")), None),
+    ("[1/0]", (2, _error("ParseError", "bad coefficient list '[1/0]'")),
+     None),
+    ("[1/-2]", (2, _error("ParseError", "bad coefficient list '[1/-2]'")),
+     None),
+    ("[1.5,2]", (1, _error("NotAdmissible", "not integer valued at z = 1")),
+     None),
+    ("[2e1,1]", (0, {"command": "gotzmann", "gotzmann_number": 191,
+                     "polynomial": "20z+1", "schema": 1}),
+     (1, _error("NotSchemeHF",
+                "1,2 ; 20z+1 is not the Hilbert function of a scheme"))),
+    ("1//3z", (2, _error("ParseError", "bad term '1//3z' in '1//3z'")),
+     None),
+    ("z^-2", (2, _error("ParseError", "bad term 'z^' in 'z^-2'")), None),
+])
+def test_token_cases_keep_their_documents(capsys, token, gotzmann, hf):
+    code, out, _ = run(capsys, "gotzmann", token, "--json")
+    assert (code, json.loads(out)) == gotzmann
+    code, out, _ = run(capsys, "minreg", "--hf", "1,2 ; " + token, "--json")
+    assert (code, json.loads(out)) == (hf or gotzmann)
+
+
+def _low_exponents(text):
+    """At most degree 12, as an exponent or a bracket list's length: the
+    Gotzmann runs of z^20 alone take minutes."""
+    return (all(int(e) <= 12 for e in re.findall(r"\^(\d+)", text))
+            and text.count(",") <= 12)
+
+
+_terms = st.lists(
+    st.tuples(st.sampled_from(["", "+", "-"]),
+              st.sampled_from(["", "0", "1", "2", "3", "12", "1/2", "3/2",
+                               "5/6", "14/3"]),
+              st.sampled_from(["", "z", "z^0", "z^2", "z^3", "z^12"])),
+    min_size=1, max_size=5).map(lambda ts: "".join("".join(t) for t in ts))
+_texts = st.one_of(st.text("0123456789z^+-/[]., ", max_size=24),
+                   _terms).filter(_low_exponents)
+
+
+@settings(max_examples=120, deadline=10000)
+@given(_texts)
+def test_any_text_ends_in_one_document(text):
+    """Arbitrary text over the grammar's alphabet, and sums of terms,
+    through gotzmann and through minreg --hf: an answer, a domain refusal
+    or a parse refusal, as one JSON document, and never a bug.  The text
+    follows `--`, as argparse would read a bare `-h` or `--` as an
+    option."""
+    for argv in (["gotzmann", "--json", "--", text],
+                 ["minreg", "--hf", "1,2 ; " + text, "--json"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, out.getvalue())
+        json.loads(out.getvalue())
 
 
 def test_too_many_digits_is_a_domain_error(capsys):
@@ -243,6 +313,16 @@ def test_table_for_the_second_appendix_polynomial(capsys):
     assert rows[2] == ["6z^2-18z+37", "678", "1", "4", "4", "5", "7"]
     assert rows[3] == ["12z-24", "42", "5", "5", "5", "6", "7"]
     assert rows[4] == ["12", "12", "1", "1", "6", "-", "7"]
+
+
+def test_high_degree_polynomials_descend_without_recursion(capsys):
+    # The quadric hypersurface in P^300: one descent level per degree,
+    # 299 of them, each finding the minima of the levels below cached.
+    p = quotient_tail({(300, 2): 1}, 301)
+    assert run(capsys, "minreg", str(p)) == (0, "2\n", "")
+    code, out, _ = run(capsys, "table", str(p))
+    assert code == 0
+    assert len(out.splitlines()) == 1 + p.degree + 1
 
 
 def test_json_mode(capsys):

@@ -1,9 +1,12 @@
-"""The package's public surface: the names it exports, and the README's
-library example and command lines, run as written."""
+"""The package's public surface: the names it exports, the standard
+modules its CLI leaves unloaded, and the README's library example and
+command lines, run as written."""
 
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -51,6 +54,18 @@ def test_the_public_api_is_pinned():
             exec("from minreg import %s" % name, {})
         for module in modules:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_the_cli_imports_neither_fractions_nor_decimal():
+    # Polynomial text is parsed and printed in integers; Fraction is
+    # imported only for inputs outside the term grammar.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minreg.__file__)))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, minreg.cli;"
+         " print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True, timeout=60).stdout
+    assert loaded == "[]\n"
 
 
 def readme_block(heading, language=""):

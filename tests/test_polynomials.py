@@ -18,17 +18,24 @@ from hypothesis import given, settings, strategies as st
 
 from minreg.errors import LinearVariety, NotAdmissible, ParseError
 from minreg.polynomials import (AdmissiblePolynomial, parse_coefficients,
-                                parse_polynomial,
+                                parse_polynomial, parse_tail,
                                 polynomial_from_coefficients, quotient_tail,
                                 slice_growth)
 
 from conftest import (binomial_coeffs, from_writing, interpolate, poly_add,
                       poly_eval, poly_nonnegative_from, poly_scale, poly_sub,
-                      reference_str, writings)
+                      reference_polynomial, reference_str, writings)
 
 
 # ---------------------------------------------------------------------------
 # parsing
+
+
+def _parsed(text):
+    """The ascending coefficients parse_coefficients reads, as Fractions
+    of its numerators over its scale."""
+    numerators, scale = parse_coefficients(text)
+    return tuple(Fraction(n, scale) for n in numerators)
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -47,7 +54,7 @@ from conftest import (binomial_coeffs, from_writing, interpolate, poly_add,
     ("z-z", ()),
 ])
 def test_parse_coefficients(text, expected):
-    assert parse_coefficients(text) == tuple(Fraction(c) for c in expected)
+    assert _parsed(text) == tuple(Fraction(c) for c in expected)
 
 
 @pytest.mark.parametrize("text", [
@@ -167,7 +174,7 @@ def test_gotzmann_runs_small(text, r, runs):
     assert p.runs == runs
     assert p.gotzmann_number == r
     rebuilt = _naive_from_runs(p.runs)
-    assert poly_sub(rebuilt, parse_coefficients(str(p))) == ()
+    assert poly_sub(rebuilt, _parsed(str(p))) == ()
 
 
 def test_gotzmann_runs_large():
@@ -215,6 +222,74 @@ def test_non_integer_valued_rejected():
         polynomial_from_coefficients((1, Fraction(1, 2)))
 
 
+@pytest.mark.parametrize("coeffs,outcome", [
+    ((2.0, 1.0), (1, 1)),
+    ((1, 1.5, 0.5), (0, 0, 1)),
+    (("1", "3/2", "1/2"), (0, 0, 1)),
+    ((1.5, 2), "not integer valued at z = 0"),
+    ((0.0, 0), "the zero polynomial has no gotzmann writing"),
+])
+def test_coefficients_without_a_denominator_go_through_fraction(coeffs,
+                                                               outcome):
+    # Floats and strings take Fraction's reading, as they always have.
+    assert _outcome(polynomial_from_coefficients, coeffs) == outcome
+    assert _outcome(reference_polynomial, coeffs) == outcome
+
+
+def test_coefficients_fraction_refuses_pass_through():
+    with pytest.raises(ValueError):
+        polynomial_from_coefficients(("one", 1))
+    with pytest.raises(TypeError):
+        polynomial_from_coefficients((None, 1))
+
+
+# ---------------------------------------------------------------------------
+# the integer route against the Fraction route
+
+
+def _outcome(build, *args):
+    """The coordinates build gives, or the message it refuses with."""
+    try:
+        return build(*args).coordinates
+    except NotAdmissible as exc:
+        return str(exc)
+
+
+def _term_text(pairs):
+    """Term-grammar text of the sum of n/d z^e, pairs[e] = (n, d)."""
+    return "".join("%+d/%dz^%d" % (n, d, e) for e, (n, d) in enumerate(pairs))
+
+
+rationals = st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 12)),
+                     min_size=1, max_size=6)
+admissible = writings.map(lambda w: [(c.numerator, c.denominator)
+                                     for c in from_writing(w)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rationals, admissible))
+def test_integer_route_matches_the_fraction_route(pairs):
+    """Coefficients n/d with |n| <= 60, d <= 12 and degree <= 5, which
+    are seldom integer valued, and the coefficients of random Gotzmann
+    writings, which are admissible: the integer route gives the Fraction
+    route's coordinates, or its refusal word for word, from library
+    values (ints where d = 1) and from text."""
+    coeffs = [n if d == 1 else Fraction(n, d) for n, d in pairs]
+    expected = _outcome(reference_polynomial, coeffs)
+    assert _outcome(polynomial_from_coefficients, coeffs) == expected
+    text = _term_text(pairs)
+    if all(n == 0 for n, _ in pairs):
+        assert parse_tail(text) is None
+        return
+    assert _outcome(parse_tail, text) == expected
+    if isinstance(expected, str):
+        return
+    p = AdmissiblePolynomial(expected)
+    assert parse_tail(str(p)) == p
+    if p.gotzmann_number >= 2:
+        assert parse_polynomial(str(p)) == p
+
+
 # ---------------------------------------------------------------------------
 # helper polynomials
 
@@ -239,7 +314,7 @@ def test_binomial_coeffs_are_polynomials_not_conventions():
 def test_interpolate_recovers_cubic():
     p = parse_polynomial("2z^3-6z^2+29z-20")
     points = [(t, p(t)) for t in range(7, 12)]
-    assert interpolate(points) == parse_coefficients(str(p))
+    assert interpolate(points) == _parsed(str(p))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +332,7 @@ def test_random_writings(writing):
     assert str(p) == reference_str(p)
     assert parse_polynomial(str(p)) == p
     assert p.runs == _runs(writing)
-    printed = parse_coefficients(str(p))
+    printed = _parsed(str(p))
     for t in range(-3, 31):
         assert p(t) == poly_eval(printed, t)
     lowered = [k - 1 for k in writing if k >= 1]
