@@ -231,8 +231,13 @@ def min_scheme_regularity(p: AdmissiblePolynomial) -> int:
     # to the constant: walk that tower upwards first, so that each cached
     # call below finds the level under it already computed, instead of
     # nesting two calls per degree.
-    for k in range(dp.degree, 0, -1):
-        min_function_regularity(AdmissiblePolynomial(dp.coordinates[k:]))
+    tower = []
+    q = dp.derivative()
+    while q is not None:
+        tower.append(q)
+        q = q.derivative()
+    for q in reversed(tower):
+        min_function_regularity(q)
     floor = max(min_function_regularity(dp), 1)
     cap = p.gotzmann_number + 1
     for t in range(floor, cap + 1):

@@ -18,9 +18,9 @@ package does with a polynomial is integer arithmetic on them.  Text is
 integer arithmetic too: a parsed polynomial is its integer monomial
 numerators over one common denominator, and the printer reduces each
 numerator over d! by a gcd.  Fraction is imported only inside the two
-fallbacks for values outside the term grammar: a bracket-list entry such
-as `1.5` or `2e1`, and a library coefficient with no numerator and
-denominator, such as a float.
+readers outside the term grammar: the bracket list `[c_k,...,c_0]`, whose
+entries take Fraction's grammar (`1.5`, `2e1`), and a library coefficient
+with no numerator and denominator, such as a float.
 """
 
 from __future__ import annotations
@@ -215,7 +215,6 @@ def slice_growth(p, degree: int, nvars: int):
 
 _PIECE_RE = re.compile(r"[+-]?[^+-]+")
 _TERM_RE = re.compile(r"^([+-]?)(?:(\d+)(?:/(\d+))?)?(z(?:\^(\d+))?)?$")
-_ENTRY_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def parse_coefficients(text: str):
@@ -260,9 +259,10 @@ def _over_common_denominator(terms):
 
 
 def _parse_bracket_list(s: str):
-    """Each entry `a` or `a/b` is read as integers; any other entry goes
-    through Fraction, whose grammar (decimals, exponents, underscores)
-    the list has always taken."""
+    """Each entry is read by Fraction, whose grammar (decimals, exponents,
+    underscores) the list has always taken."""
+    from fractions import Fraction
+
     if not s.endswith("]"):
         raise ParseError("unterminated coefficient list %r" % s)
     inner = s[1:-1]
@@ -272,16 +272,8 @@ def _parse_bracket_list(s: str):
     terms = []
     try:
         for i, tok in enumerate(tokens):
-            m = _ENTRY_RE.fullmatch(tok)
-            if m:
-                num, den = int(m.group(1)), int(m.group(2) or 1)
-            else:
-                from fractions import Fraction
-                c = Fraction(tok)
-                num, den = c.numerator, c.denominator
-            if den == 0:
-                raise ParseError("bad coefficient list %r" % s)
-            terms.append((num, den, len(tokens) - 1 - i))
+            c = Fraction(tok)
+            terms.append((c.numerator, c.denominator, len(tokens) - 1 - i))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("bad coefficient list %r" % s) from exc
     return _over_common_denominator(terms)
@@ -307,29 +299,32 @@ def polynomial_from_coefficients(coeffs) -> AdmissiblePolynomial:
     return _from_numerators(*_over_common_denominator(terms))
 
 
+def _value(numerators, x: int) -> int:
+    """sum_i numerators[i] x^i, by Horner's rule."""
+    value = 0
+    for c in reversed(numerators):
+        value = value * x + c
+    return value
+
+
 def _from_numerators(numerators, scale: int) -> AdmissiblePolynomial:
     """The polynomial with monomial coefficients numerators[i] / scale.
 
     L a_k, L = scale, are the differences nabla^k (L p) at -1 of the
     integer values L p(-1), ..., L p(-(d + 1)), so p is integer valued
-    iff L divides each of them; the first t >= 0 with L p(t) not
-    divisible by L is named otherwise.
+    iff L divides each of them; otherwise the first t >= 0 with L p(t)
+    not divisible by L, at most d, is named.
     """
     if not numerators:
         raise NotAdmissible("the zero polynomial has no gotzmann writing")
-    level = []
-    for x in range(-1, -len(numerators) - 1, -1):
-        value = 0
-        for c in reversed(numerators):
-            value = value * x + c
-        level.append(value)
+    level = [_value(numerators, x) for x in range(-1, -len(numerators) - 1, -1)]
     scaled = []
     while level:
         scaled.append(level[0])
         level = [a - b for a, b in zip(level, level[1:])]
     if any(a % scale for a in scaled):
-        multiple = AdmissiblePolynomial(tuple(scaled))
-        t = next(t for t in range(len(scaled)) if multiple(t) % scale)
+        t = next(t for t in range(len(numerators))
+                 if _value(numerators, t) % scale)
         raise NotAdmissible("not integer valued at z = %d" % t)
     p = AdmissiblePolynomial(tuple(a // scale for a in scaled))
     p.runs  # raises NotAdmissible when there is no Gotzmann writing
