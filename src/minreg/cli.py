@@ -41,11 +41,6 @@ from .regularity import (min_regularity, min_regularity_at,
 SCHEMA = 1
 
 
-def _json_mode(args) -> bool:
-    return bool(getattr(args, "json_global", False)
-                or getattr(args, "json_sub", False))
-
-
 def _document(payload: dict) -> str:
     """The JSON text of every document: the payload stamped with the
     schema, keys sorted, indented by two."""
@@ -53,7 +48,7 @@ def _document(payload: dict) -> str:
 
 
 def _emit(args, payload: dict, lines):
-    if _json_mode(args):
+    if args.json:
         print(_document(payload))
     else:
         for line in lines:
@@ -165,7 +160,7 @@ def cmd_minreg(args) -> int:
             report = min_regularity(p)
     payload = {"command": "minreg", "polynomial": str(report.polynomial),
                "regularity": report.regularity, "rho_used": report.rho_used}
-    if _json_mode(args):
+    if args.json:
         payload["trace"] = _trace_payload(report)
     _emit(args, payload, [str(report.regularity)])
     return 0
@@ -192,7 +187,7 @@ def cmd_witness(args) -> int:
         except OSError as exc:
             raise InputError("cannot write %s: %s"
                              % (args.output, exc.strerror or exc)) from None
-        if not _json_mode(args):
+        if not args.json:
             print("wrote a regularity-%d certificate to %s"
                   % (cert.regularity, args.output))
             return 0
@@ -256,11 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="minreg",
         description="Minimal Castelnuovo-Mumford regularity of projective"
                     " schemes with a given Hilbert polynomial, with"
-                    " strongly stable witness ideals.")
-    parser.add_argument("--json", dest="json_global", action="store_true",
+                    " strongly stable witness ideals.",
+        epilog="A polynomial that begins with '-' goes after '--':"
+               " minreg gotzmann -- -3+5z")
+    parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
+    # Left unset unless given, so --json before the subcommand survives.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", dest="json_sub", action="store_true",
+    common.add_argument("--json", action="store_true",
+                        default=argparse.SUPPRESS,
                         help="emit machine-readable JSON")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -360,7 +359,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except Exception as exc:  # not BaseException: interrupts get through
-        return _report(exc, _json_mode(args))
+        return _report(exc, args.json)
 
 
 def entrypoint():

@@ -1,7 +1,9 @@
 """Hilbert functions and the minimal functions attached to a polynomial.
 
 A Hilbert function is stored as a finite prefix of values at 0, 1, 2, ...
-followed by an admissible polynomial tail (or a zero tail).  The prefix is
+followed by an admissible polynomial tail, which is polynomials.ZERO (the
+empty writing) for an Artinian quotient; derivative() of a tail always
+returns a polynomial, ZERO below a constant.  The prefix is
 kept canonical: its last entry always differs from the tail value there,
 so the length of the prefix is the regularity of the function, the first
 point from which the function agrees with its tail forever.
@@ -25,18 +27,16 @@ from functools import lru_cache
 from .binomials import lowered_chain, plus_plus
 from .errors import (InternalInconsistency, NegativeDerivative, NotAdmissible,
                      ParseError, RhoTooSmall)
-from .polynomials import AdmissiblePolynomial, parse_tail
+from .polynomials import ZERO, AdmissiblePolynomial, parse_tail
 
 
 @dataclass(frozen=True)
 class HilbertFunction:
-    """Integer function given by a finite prefix and a polynomial tail.
-
-    tail None means the function is zero from len(prefix) on.
-    """
+    """Integer function given by a finite prefix and a polynomial tail;
+    the default tail ZERO makes it zero from len(prefix) on."""
 
     prefix: tuple
-    tail: AdmissiblePolynomial | None = None
+    tail: AdmissiblePolynomial = ZERO
 
     def __post_init__(self):
         values = []
@@ -44,12 +44,9 @@ class HilbertFunction:
             if v != int(v):
                 raise NotAdmissible("function values must be integers, got %r" % (v,))
             values.append(int(v))
-        while values and values[-1] == self._tail_value(len(values) - 1):
+        while values and values[-1] == self.tail(len(values) - 1):
             values.pop()
         object.__setattr__(self, "prefix", tuple(values))
-
-    def _tail_value(self, t: int) -> int:
-        return self.tail(t) if self.tail is not None else 0
 
     @property
     def regularity(self) -> int:
@@ -61,7 +58,7 @@ class HilbertFunction:
             return 0
         if t < len(self.prefix):
             return self.prefix[t]
-        return self._tail_value(t)
+        return self.tail(t)
 
     def delta(self) -> "HilbertFunction":
         """First difference function; NegativeDerivative if it ever dips."""
@@ -75,9 +72,8 @@ class HilbertFunction:
                     "difference is %d at t = %d" % (step, t))
             diffs.append(step)
             previous = current
-        tail = self.tail.derivative() if self.tail is not None else None
-        if tail is not None and not tail.at_least_from(None,
-                                                       len(self.prefix) + 1):
+        tail = self.tail.derivative()
+        if not tail.at_least_from(ZERO, len(self.prefix) + 1):
             raise NegativeDerivative("difference goes negative inside the tail")
         return HilbertFunction(tuple(diffs), tail)
 
@@ -87,15 +83,11 @@ class HilbertFunction:
         for t in range(horizon):
             if self(t) > other(t):
                 return False
-        if other.tail is None:
-            # an admissible tail ends above the zero one
-            return self.tail is None
         return other.tail.at_least_from(self.tail, horizon)
 
     def __str__(self):
         left = ",".join(str(v) for v in self.prefix)
-        right = str(self.tail) if self.tail is not None else "0"
-        return ("%s ; %s" % (left, right)) if left else "; %s" % right
+        return "%s ; %s" % (left, self.tail) if left else "; %s" % self.tail
 
     def __repr__(self):
         return "HilbertFunction(%r)" % str(self)
@@ -132,7 +124,7 @@ def is_admissible_function(h: HilbertFunction) -> bool:
     bound holds for free."""
     if h(0) != 1:
         return False
-    if h.tail is None:
+    if h.tail.degree < 0:
         horizon = h.regularity + 1
     else:
         horizon = max(h.regularity, min_function_regularity(h.tail), 1)
@@ -233,7 +225,7 @@ def min_scheme_regularity(p: AdmissiblePolynomial) -> int:
     # nesting two calls per degree.
     tower = []
     q = dp.derivative()
-    while q is not None:
+    while q.degree >= 0:
         tower.append(q)
         q = q.derivative()
     for q in reversed(tower):

@@ -14,7 +14,10 @@ A polynomial is held by its coordinates a_0, ..., a_d in the basis
 B_k(z) = C(z + k, k).  As B_k(z) - B_k(z - 1) = B_(k-1) and B_k(-1) = 0
 for k >= 1, a_k = (nabla^k p)(-1), nabla the backward difference: p is
 integer valued iff its coordinates are integers, and everything the
-package does with a polynomial is integer arithmetic on them.  Text is
+package does with a polynomial is integer arithmetic on them.  The zero
+polynomial is ZERO, the empty writing (r = 0, no coordinates): it is the
+tail of an Artinian quotient's Hilbert function and the derivative of a
+constant, so derivative() always returns a polynomial.  Text is
 integer arithmetic too: a parsed polynomial is its integer monomial
 numerators over one common denominator, and the printer reduces each
 numerator over d! by a gcd.  Fraction is imported only inside the two
@@ -102,15 +105,13 @@ class AdmissiblePolynomial:
             value += a * basis
         return value
 
-    def derivative(self):
-        """First difference p(z) - p(z - 1); None when p is constant."""
-        if self.degree == 0:
-            return None
+    def derivative(self) -> AdmissiblePolynomial:
+        """First difference p(z) - p(z - 1): ZERO for a constant and
+        for ZERO."""
         return AdmissiblePolynomial(self.coordinates[1:])
 
-    def at_least_from(self, other, start: int) -> bool:
-        """True when p(t) >= other(t) at every integer t >= start; other
-        None is the zero polynomial.
+    def at_least_from(self, other: AdmissiblePolynomial, start: int) -> bool:
+        """True when p(t) >= other(t) at every integer t >= start.
 
         Scans s = start, start + 1, ... on r = p - other.  r(z + s) has
         the coordinate sum_m C(s + m - 1, m) c_(j+m) on B_j, and the
@@ -121,8 +122,8 @@ class AdmissiblePolynomial:
         top coordinate every coordinate eventually turns positive, so the
         scan ends; with a negative one r ends negative.
         """
-        theirs = other.coordinates if other is not None else ()
-        r = _trim(a - b for a, b in zip_longest(self.coordinates, theirs,
+        r = _trim(a - b for a, b in zip_longest(self.coordinates,
+                                                other.coordinates,
                                                 fillvalue=0))
         if not r:
             return True
@@ -173,6 +174,9 @@ class AdmissiblePolynomial:
         return "AdmissiblePolynomial(%r)" % str(self)
 
 
+ZERO = AdmissiblePolynomial(())
+
+
 def quotient_tail(classes, nvars: int):
     """Hilbert polynomial of the quotient of K[x0, ..., xn], n + 1 =
     nvars, by a strongly stable ideal with classes[(i, d)] minimal
@@ -182,27 +186,23 @@ def quotient_tail(classes, nvars: int):
 
     where C(z + i - d, i) has the coordinate (-1)^m C(d, m) on B_(i-m).
     A degree-s slice with growth vector g is classes[(i, s)] = g[i].
-    None when it is the zero polynomial.
     """
     coordinates = [0] * (nvars - 1) + [1]
     for (i, d), size in classes.items():
         for m in range(min(i, d) + 1):
             coordinates[i - m] -= (-1) ** m * size * math.comb(d, m)
-    coordinates = _trim(coordinates)
-    return AdmissiblePolynomial(coordinates) if coordinates else None
+    return AdmissiblePolynomial(_trim(coordinates))
 
 
 def slice_growth(p, degree: int, nvars: int):
     """The growth vector of a degree-s slice, s = degree, in nvars
-    variables whose ideal has quotient_tail p (None the zero
-    polynomial).  Class i reaches the coordinates on B_0..B_i only, with
-    1 on B_i, so the sizes are solved from the top coordinate down.
+    variables whose ideal has quotient_tail p.  Class i reaches the
+    coordinates on B_0..B_i only, with 1 on B_i, so the sizes are solved
+    from the top coordinate down.
     """
-    coordinates = p.coordinates if p is not None else ()
     growth = [0] * nvars
     for j in range(nvars - 1, -1, -1):
-        size = (j == nvars - 1) - (coordinates[j] if j < len(coordinates)
-                                   else 0)
+        size = (j == nvars - 1) - (p.coordinates[j] if j <= p.degree else 0)
         for i in range(j + 1, nvars):
             size -= (-1) ** (i - j) * growth[i] * math.comb(degree, i - j)
         growth[j] = size
@@ -239,11 +239,15 @@ def parse_coefficients(text: str):
         if not m or (m.group(2) is None and m.group(4) is None):
             raise ParseError("bad term %r in %r" % (piece, text))
         sign, num, den, var, exp = m.groups()
-        num = int(num) if num else 1
-        den = int(den) if den else 1
+        try:
+            num = int(num) if num else 1
+            den = int(den) if den else 1
+            exp = 0 if var is None else (int(exp) if exp else 1)
+        except ValueError:  # more digits than int() converts
+            raise ParseError("term %r has more digits than Python converts"
+                             % piece) from None
         if den == 0:
             raise ParseError("zero denominator in %r" % text)
-        exp = 0 if var is None else (int(exp) if exp else 1)
         terms.append((-num if sign == "-" else num, den, exp))
     return _over_common_denominator(terms)
 
@@ -331,11 +335,11 @@ def _from_numerators(numerators, scale: int) -> AdmissiblePolynomial:
     return p
 
 
-def parse_tail(text: str):
-    """Polynomial from text, None for the zero polynomial; tolerates any
-    Gotzmann number >= 1, as the tail of a Hilbert function may."""
+def parse_tail(text: str) -> AdmissiblePolynomial:
+    """Polynomial from text, ZERO included; tolerates any Gotzmann
+    number, as the tail of a Hilbert function may."""
     numerators, scale = parse_coefficients(text)
-    return _from_numerators(numerators, scale) if numerators else None
+    return _from_numerators(numerators, scale) if numerators else ZERO
 
 
 def parse_polynomial(text: str) -> AdmissiblePolynomial:

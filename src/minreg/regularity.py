@@ -91,7 +91,7 @@ def _function_trace(u: HilbertFunction):
     per level down to the constant tail; each row's bound is the larger
     of its reg + 1 and the bound of the row below it."""
     levels = []
-    while u.tail.degree:
+    while u.tail.degree > 0:
         fit, sub = descent_step(u)
         if sub.regularity != fit:
             raise InternalInconsistency(
@@ -150,7 +150,7 @@ def min_regularity_of_function(u: HilbertFunction) -> RegularityReport:
     """Least regularity among schemes with the given Hilbert function."""
     if not is_scheme_function(u):
         raise NotSchemeHF("%s is not the Hilbert function of a scheme" % u)
-    if u.tail is None or u.tail.gotzmann_number < 2:
+    if u.tail.gotzmann_number < 2:
         raise LinearVariety(
             "functions of linear varieties are out of scope: %s" % u)
     return RegularityReport(_function_trace(u))

@@ -668,15 +668,12 @@ def partial_sums(h):
     for t in range(reg):
         acc += h.prefix[t]
         sums.append(acc)
-    if h.tail is None:
-        tail = polynomial_from_coefficients((acc,))
-    else:
-        points = []
-        value = acc
-        for t in range(reg, reg + h.tail.degree + 2):
-            value += h.tail(t)
-            points.append((t, value))
-        tail = polynomial_from_coefficients(interpolate(points))
+    points = []
+    value = acc
+    for t in range(reg, reg + h.tail.degree + 2):
+        value += h.tail(t)
+        points.append((t, value))
+    tail = polynomial_from_coefficients(interpolate(points))
     return HilbertFunction(tuple(sums), tail)
 
 _config = None

@@ -348,18 +348,18 @@ def test_lex_segment_ideal_of_constants_lives_on_a_line():
 def test_artinian_lex_ideal():
     # the reference base of the lifting chain, and the ghl slice of the
     # running sums builds its lift
-    h = HilbertFunction((1, 2, 2, 2, 2, 2, 1), None)
+    h = HilbertFunction((1, 2, 2, 2, 2, 2, 1))
     A = ideal(2, (0, 2), (5, 1), (7, 0))
     assert artinian_lex_ideal(h) == A
     assert ghl_ideal(partial_sums(h), 7, 3) == artinian_lift(A)
-    staircase = HilbertFunction((1, 2, 3, 4, 5), None)
+    staircase = HilbertFunction((1, 2, 3, 4, 5))
     S = ideal(2, (0, 5), (1, 4), (2, 3), (3, 2), (4, 1), (5, 0))
     assert artinian_lex_ideal(staircase) == S
     assert ghl_ideal(partial_sums(staircase), 5, 3) == artinian_lift(S)
 
 
 def test_artinian_lex_ideal_lifts_to_its_running_sums():
-    h = HilbertFunction((1, 2, 2, 2, 2, 2, 1), None)
+    h = HilbertFunction((1, 2, 2, 2, 2, 2, 1))
     lifted = ghl_ideal(partial_sums(h), 7, 3)
     assert lifted == artinian_lift(artinian_lex_ideal(h))
     assert lifted.hilbert_function() == partial_sums(h)

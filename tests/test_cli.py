@@ -110,9 +110,16 @@ def _error(code, message):
     return {"error": {"code": code, "message": message}, "schema": 1}
 
 
+def _too_long(term):
+    return pytest.param(term, (2, _error(
+        "ParseError", "term %r has more digits than Python converts" % term)),
+        None, id="%s-digits" % term.replace("1" * 5000, "5000"))
+
+
 # Each token's exit code and document from gotzmann, and from minreg
 # --hf "1,2 ; token" where they differ: the term grammar's refusals, and
-# bracket lists read by Fraction's grammar.
+# bracket lists read by Fraction's grammar.  A numeral of 5000 digits is
+# past the 4300 that int() converts by default.
 @pytest.mark.parametrize("token,gotzmann,hf", [
     ("1/0z", (2, _error("ParseError", "zero denominator in '1/0z'")), None),
     ("[1/0]", (2, _error("ParseError", "bad coefficient list '[1/0]'")),
@@ -128,6 +135,8 @@ def _error(code, message):
     ("1//3z", (2, _error("ParseError", "bad term '1//3z' in '1//3z'")),
      None),
     ("z^-2", (2, _error("ParseError", "bad term 'z^' in 'z^-2'")), None),
+    _too_long("1" * 5000 + "z"),
+    _too_long("z^" + "1" * 5000),
 ])
 def test_token_cases_keep_their_documents(capsys, token, gotzmann, hf):
     code, out, _ = run(capsys, "gotzmann", token, "--json")

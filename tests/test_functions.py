@@ -52,7 +52,7 @@ def test_call_and_values():
 
 
 def test_artinian_prefix_trims_zeros():
-    h = HilbertFunction((1, 3, 2, 0, 0), None)
+    h = HilbertFunction((1, 3, 2, 0, 0))
     assert h.prefix == (1, 3, 2)
     assert h.regularity == 3
 
@@ -78,7 +78,7 @@ def test_parse_rejects(text):
 def test_non_integer_values_rejected():
     from fractions import Fraction
     with pytest.raises(NotAdmissible):
-        HilbertFunction((1, Fraction(3, 2)), None)
+        HilbertFunction((1, Fraction(3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_delta_worked_example():
 
 def test_delta_raises_on_prefix_dip():
     with pytest.raises(NegativeDerivative):
-        HilbertFunction((1, 2, 1), None).delta()
+        HilbertFunction((1, 2, 1)).delta()
 
 
 def test_delta_raises_on_tail_dip():
@@ -118,7 +118,7 @@ def test_partial_sums():
     f2 = minimal_function(poly("5z-3"), 3)
     s = partial_sums(f2)
     assert values(s, 6) == [1, 5, 13, 25, 42, 64]
-    artinian = HilbertFunction((1, 2), None)
+    artinian = HilbertFunction((1, 2))
     s2 = partial_sums(artinian)
     assert values(s2, 5) == [1, 3, 3, 3, 3]
     assert str(s2.tail) == "3"
@@ -127,14 +127,14 @@ def test_partial_sums():
     s3 = partial_sums(g)
     assert values(s3, 6) == [1, 4, 10, 20, 35, 50]
     assert s3 == hf("1,4,10 ; 15z-25")
-    point = partial_sums(HilbertFunction((1,), None))
+    point = partial_sums(HilbertFunction((1,)))
     assert values(point, 4) == [1, 1, 1, 1]
     assert point.regularity == 0
 
 
 def test_partial_sums_needs_unit_start():
     with pytest.raises(NotAdmissible):
-        partial_sums(HilbertFunction((2, 3), None))
+        partial_sums(HilbertFunction((2, 3)))
 
 
 def test_sums_and_delta_are_inverse():
@@ -182,7 +182,7 @@ def test_growth_admissibility():
     assert not is_admissible_function(hf("2,4 ; 5z-3"))
     assert not is_admissible_function(hf("; 0"))
     # zero cannot grow again
-    assert not is_admissible_function(HilbertFunction((1, 0, 2), None))
+    assert not is_admissible_function(HilbertFunction((1, 0, 2)))
     # negative value hidden in the tail's active range
     assert not is_admissible_function(hf("1 ; 12z-25"))
 

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minreg.errors import LinearVariety, NotAdmissible, ParseError
-from minreg.polynomials import (AdmissiblePolynomial, parse_coefficients,
-                                parse_polynomial, parse_tail,
-                                polynomial_from_coefficients, quotient_tail,
-                                slice_growth)
+from minreg.functions import HilbertFunction
+from minreg.polynomials import (ZERO, AdmissiblePolynomial,
+                                parse_coefficients, parse_polynomial,
+                                parse_tail, polynomial_from_coefficients,
+                                quotient_tail, slice_growth)
 
 from conftest import (binomial_coeffs, from_writing, interpolate, poly_add,
                       poly_eval, poly_nonnegative_from, poly_scale, poly_sub,
@@ -206,7 +207,21 @@ def test_derivative_chains_from_worked_tables():
         for expected in chain[1:]:
             p = p.derivative()
             assert str(p) == expected
-        assert p.derivative() is None
+        assert p.derivative() == ZERO
+
+
+def test_zero_is_the_empty_writing():
+    """The zero polynomial is a value: the tail of an Artinian quotient,
+    of the unit ideal's quotient, and the derivative of a constant."""
+    assert ZERO.degree == -1
+    assert ZERO.runs == ()
+    assert ZERO.gotzmann_number == 0
+    assert str(ZERO) == "0"
+    assert [ZERO(t) for t in range(-2, 5)] == [0] * 7
+    assert ZERO.derivative() == ZERO
+    assert parse_tail("0") == ZERO
+    assert quotient_tail({(2, 0): 1}, 3) == ZERO
+    assert HilbertFunction((1, 3, 2)).tail == ZERO
 
 
 def test_integer_valued_but_inadmissible():
@@ -279,7 +294,7 @@ def test_integer_route_matches_the_fraction_route(pairs):
     assert _outcome(polynomial_from_coefficients, coeffs) == expected
     text = _term_text(pairs)
     if all(n == 0 for n, _ in pairs):
-        assert parse_tail(text) is None
+        assert parse_tail(text) == ZERO
         return
     assert _outcome(parse_tail, text) == expected
     if isinstance(expected, str):
@@ -340,7 +355,7 @@ def test_random_writings(writing):
     if lowered:
         assert d.runs == _runs(lowered)
     else:
-        assert d is None
+        assert d == ZERO
 
 
 coordinates = st.lists(st.integers(-30, 30), min_size=1, max_size=5).filter(
@@ -361,7 +376,7 @@ def test_nonnegativity_matches_the_reference(mine, theirs, start):
     (AdmissiblePolynomial does not check them), against the scan of the
     forward differences on their monomial coefficients."""
     p, q = AdmissiblePolynomial(tuple(mine)), AdmissiblePolynomial(tuple(theirs))
-    assert p.at_least_from(None, start) == \
+    assert p.at_least_from(ZERO, start) == \
         poly_nonnegative_from(_monomial(mine), start)
     assert p.at_least_from(q, start) == poly_nonnegative_from(
         poly_sub(_monomial(mine), _monomial(theirs)), start)
@@ -376,7 +391,7 @@ def test_nonnegativity_on_a_grid():
                 continue
             p, coeffs = AdmissiblePolynomial(coords), _monomial(coords)
             for start in range(6):
-                assert p.at_least_from(None, start) == \
+                assert p.at_least_from(ZERO, start) == \
                     poly_nonnegative_from(coeffs, start), (coords, start)
 
 

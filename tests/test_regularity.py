@@ -156,7 +156,7 @@ def check_bounds_and_monotonicity(p):
         m = report.regularity
         big = rho
         q = p
-        while q is not None:
+        while q.degree >= 0:
             big = max(big, min_scheme_regularity(q))
             q = q.derivative()
         assert big + 1 <= m <= big + 2
