@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .binomials import binom, plus_plus
@@ -145,14 +144,25 @@ def borel_leq(a, b) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class StronglyStableIdeal:
     """Monomial ideal closed under raising moves, held by its minimal
     generators.  A trusted record: the caller vouches for both, and
     verify_witness is the check."""
 
-    nvars: int
-    generators: frozenset
+    __slots__ = ("nvars", "generators")
+
+    def __init__(self, nvars: int, generators: frozenset):
+        self.nvars = nvars
+        self.generators = generators
+
+    def __eq__(self, other):
+        if type(other) is not StronglyStableIdeal:
+            return NotImplemented
+        return (self.nvars == other.nvars
+                and self.generators == other.generators)
+
+    def __hash__(self):
+        return hash((self.nvars, self.generators))
 
     @property
     def regularity(self) -> int:

@@ -22,7 +22,7 @@ builders; certificate_from_dict checks shape.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, islice
 
 from .borel import StronglyStableIdeal, ghl_ideal
@@ -31,14 +31,11 @@ from .functions import HilbertFunction, parse_hilbert_function
 from .regularity import min_regularity_of_function
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(namedtuple("WitnessCertificate",
+                                    "ideal hilbert_function regularity log")):
     """A constructed ideal with its claimed invariants and build log."""
 
-    ideal: StronglyStableIdeal
-    hilbert_function: HilbertFunction
-    regularity: int
-    log: tuple
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -91,9 +88,8 @@ def certificate_from_dict(payload) -> WitnessCertificate:
                               regularity, log)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple
+class VerificationReport(namedtuple("VerificationReport", "checks")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -21,7 +21,6 @@ up to the Gotzmann number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .binomials import lowered_chain, plus_plus
@@ -30,23 +29,30 @@ from .errors import (InternalInconsistency, NegativeDerivative, NotAdmissible,
 from .polynomials import ZERO, AdmissiblePolynomial, parse_tail
 
 
-@dataclass(frozen=True)
 class HilbertFunction:
     """Integer function given by a finite prefix and a polynomial tail;
     the default tail ZERO makes it zero from len(prefix) on."""
 
-    prefix: tuple
-    tail: AdmissiblePolynomial = ZERO
+    __slots__ = ("prefix", "tail")
 
-    def __post_init__(self):
+    def __init__(self, prefix: tuple, tail: AdmissiblePolynomial = ZERO):
         values = []
-        for v in self.prefix:
+        for v in prefix:
             if v != int(v):
                 raise NotAdmissible("function values must be integers, got %r" % (v,))
             values.append(int(v))
-        while values and values[-1] == self.tail(len(values) - 1):
+        while values and values[-1] == tail(len(values) - 1):
             values.pop()
-        object.__setattr__(self, "prefix", tuple(values))
+        self.prefix = tuple(values)
+        self.tail = tail
+
+    def __eq__(self, other):
+        if type(other) is not HilbertFunction:
+            return NotImplemented
+        return self.prefix == other.prefix and self.tail == other.tail
+
+    def __hash__(self):
+        return hash((self.prefix, self.tail))
 
     @property
     def regularity(self) -> int:

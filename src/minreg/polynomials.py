@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, zip_longest
 
@@ -74,14 +73,22 @@ def _gotzmann_runs(coordinates):
     return tuple(runs)
 
 
-@dataclass(frozen=True)
 class AdmissiblePolynomial:
     """A Hilbert polynomial, held by its integer coordinates in the basis
     C(z + k, k), k = 0..degree.  A trusted record: the builders here yield
     admissible polynomials, and outside input comes in through
     polynomial_from_coefficients, which checks it."""
 
-    coordinates: tuple
+    def __init__(self, coordinates: tuple):
+        self.coordinates = coordinates
+
+    def __eq__(self, other):
+        if type(other) is not AdmissiblePolynomial:
+            return NotImplemented
+        return self.coordinates == other.coordinates
+
+    def __hash__(self):
+        return hash(self.coordinates)
 
     @cached_property
     def runs(self):
@@ -111,16 +118,18 @@ class AdmissiblePolynomial:
         return AdmissiblePolynomial(self.coordinates[1:])
 
     def at_least_from(self, other: AdmissiblePolynomial, start: int) -> bool:
-        """True when p(t) >= other(t) at every integer t >= start.
+        """True when p(t) >= other(t) at every integer t >= start >= 0.
 
         Scans s = start, start + 1, ... on r = p - other.  r(z + s) has
-        the coordinate sum_m C(s + m - 1, m) c_(j+m) on B_j, and the
-        step to s + 1 replaces each coordinate by the sum of those at or
-        above it.  The scan stops with False at a negative value r(s),
-        the sum of the coordinates, and with True once no coordinate is
-        negative, as then r(s + u) >= 0 for every u >= 0.  With a positive
-        top coordinate every coordinate eventually turns positive, so the
-        scan ends; with a negative one r ends negative.
+        the coordinate sum_m C(s + m - 1, m) c_(j+m) on B_j, one row of
+        binomials built by C(s + m - 1, m) = C(s + m - 2, m - 1)
+        (s + m - 1) / m, and the step to s + 1 replaces each coordinate
+        by the sum of those at or above it.  The scan stops with False at
+        a negative value r(s), the sum of the coordinates, and with True
+        once no coordinate is negative, as then r(s + u) >= 0 for every
+        u >= 0.  With a positive top coordinate every coordinate
+        eventually turns positive, so the scan ends; with a negative one
+        r ends negative.
         """
         r = _trim(a - b for a, b in zip_longest(self.coordinates,
                                                 other.coordinates,
@@ -129,9 +138,10 @@ class AdmissiblePolynomial:
             return True
         if r[-1] < 0:
             return False
-        c = [sum((math.comb(start + m - 1, m) if m else 1) * r[j + m]
-                 for m in range(len(r) - j))
-             for j in range(len(r))]
+        row = [1]
+        for m in range(1, len(r)):
+            row.append(row[-1] * (start + m - 1) // m)
+        c = [sum(b * a for b, a in zip(row, r[j:])) for j in range(len(r))]
         while min(c) < 0:
             if sum(c) < 0:
                 return False

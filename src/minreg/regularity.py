@@ -21,7 +21,7 @@ form and a mismatch is reported as a bug, never papered over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .binomials import binom
@@ -33,25 +33,18 @@ from .functions import (HilbertFunction, descent_step, is_scheme_function,
 from .polynomials import AdmissiblePolynomial
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(namedtuple("TraceRow", "polynomial gotzmann_number min_rho"
+                          " min_scheme_rho rho_used rho_fit regularity")):
     """One level of the descent: the polynomial at this level, its
     invariants, the regularity of the function in play, the regularity
     picked for the next level (None at the constant bottom), and the
     bound computed from this level down."""
 
-    polynomial: AdmissiblePolynomial
-    gotzmann_number: int
-    min_rho: int
-    min_scheme_rho: int
-    rho_used: int
-    rho_fit: int | None
-    regularity: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    rows: tuple
+class RegularityReport(namedtuple("RegularityReport", "rows")):
+    __slots__ = ()
 
     @property
     def regularity(self) -> int:

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from minreg.binomials import plus_plus
+from minreg.borel import StronglyStableIdeal
 from minreg.errors import (NegativeDerivative, NotAdmissible, ParseError,
                            RhoTooSmall)
 from minreg.functions import (HilbertFunction, is_admissible_function,
@@ -40,6 +41,42 @@ def test_prefix_is_canonicalized():
     assert h.prefix == (1, 4, 8)
     assert h.regularity == 3
     assert h == hf("1,4,8 ; 5z-3")
+    built = HilbertFunction((1, 4, 8, 12, 17), poly("5z-3"))
+    assert built.prefix == (1, 4, 8)
+    assert built == h
+
+
+def test_records_compare_and_hash_by_type_and_fields():
+    # The value types are cache keys: a fresh equal record must find the
+    # entry an earlier one left.
+    p = poly("7z-5")
+    min_scheme_regularity(p)
+    hits = min_scheme_regularity.cache_info().hits
+    fresh = poly("7z-5")
+    assert fresh is not p
+    min_scheme_regularity(fresh)
+    assert min_scheme_regularity.cache_info().hits == hits + 1
+    ideal = StronglyStableIdeal(3, frozenset({(0, 2, 0), (0, 1, 1),
+                                              (0, 0, 3)}))
+    pairs = [
+        (p, fresh, (p.coordinates,)),
+        (hf("1,4,8 ; 5z-3"), HilbertFunction((1, 4, 8), poly("5z-3")),
+         ((1, 4, 8), poly("5z-3"))),
+        (ideal, StronglyStableIdeal(3, frozenset(ideal.generators)),
+         (3, ideal.generators)),
+    ]
+    for a, b, fields in pairs:
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != fields and a != fields[0]
+        for c, _, _ in pairs:
+            assert (a == c) is (a is c)
+    assert p != poly("7z-4")
+    assert hf("1,4,8 ; 5z-3") != hf("1,4,9 ; 5z-3")
+    assert ideal != StronglyStableIdeal(4, ideal.generators)
+    assert [repr(a) for a, _, _ in pairs] == [
+        "AdmissiblePolynomial('7z-5')", "HilbertFunction('1,4,8 ; 5z-3')",
+        "StronglyStableIdeal(3, (x1^2, x1*x2, x2^3))"]
 
 
 def test_call_and_values():
@@ -79,6 +116,9 @@ def test_non_integer_values_rejected():
     from fractions import Fraction
     with pytest.raises(NotAdmissible):
         HilbertFunction((1, Fraction(3, 2)))
+    with pytest.raises(NotAdmissible):
+        HilbertFunction((1, 2.5), poly("5z-3"))
+    assert HilbertFunction((1, 3.0, Fraction(4))).prefix == (1, 3, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,16 @@ def test_the_public_api_is_pinned():
             assert not hasattr(module, name), (module.__name__, name)
 
 
-def test_the_cli_imports_neither_fractions_nor_decimal():
+def test_the_cli_imports_neither_fractions_nor_decimal_nor_dataclasses():
     # Polynomial text is parsed and printed in integers; Fraction is
-    # imported only for inputs outside the term grammar.
+    # imported only for inputs outside the term grammar.  The records are
+    # plain classes and named tuples, so dataclasses, which loads inspect,
+    # is never compiled and imported by a command.
     src = os.path.dirname(os.path.dirname(os.path.abspath(minreg.__file__)))
     loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, minreg.cli;"
-         " print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        [sys.executable, "-c", "import sys, minreg.cli; print(sorted("
+         "{'fractions', 'decimal', 'dataclasses', 'inspect'}"
+         " & set(sys.modules)))"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, check=True, timeout=60).stdout
     assert loaded == "[]\n"
