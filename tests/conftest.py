@@ -33,6 +33,9 @@ reference_expand() is the plain greedy Macaulay expansion, doubling up
 from the index at every step, that binomials.macaulay_expand must agree
 with.
 values(), partial_sums() and interpolate() are used by tests only.
+reference_parser() is the argparse parser that cli's table reader
+replaced, the reference the reader must agree with: its fields, its
+refusals (UsageError, with the message and usage line) and its help.
 poly_add, poly_sub, poly_scale, poly_mul, poly_eval and poly_shift_arg
 work on ascending monomial coefficients, which the program only parses
 and prints, and poly_nonnegative_from() is the forward-difference scan on
@@ -48,6 +51,7 @@ writings is the hypothesis strategy of random Gotzmann writings, and
 from_writing() gives a writing's polynomial in those coefficients.
 """
 
+import argparse
 import json
 import math
 import os
@@ -58,6 +62,7 @@ from itertools import combinations_with_replacement, islice
 import pytest
 from hypothesis import strategies as st
 
+from minreg import cli
 from minreg.binomials import binom, macaulay_expand
 from minreg.borel import (StronglyStableIdeal, basis_size, ek_index,
                           ghl_ideal, min_index, slice_heights, term_string)
@@ -675,6 +680,100 @@ def partial_sums(h):
         points.append((t, value))
     tail = polynomial_from_coefficients(interpolate(points))
     return HilbertFunction(tuple(sums), tail)
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print its usage and exit 2."""
+
+    def error(self, message):
+        raise cli.UsageError(message, self.format_usage())
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="minreg",
+        description="Minimal Castelnuovo-Mumford regularity of projective"
+                    " schemes with a given Hilbert polynomial, with"
+                    " strongly stable witness ideals.",
+        epilog="A polynomial that begins with '-' goes after '--':"
+               " minreg gotzmann -- -3+5z")
+    parser.add_argument("--json", action="store_true",
+                        help="emit machine-readable JSON")
+    # Left unset unless given, so --json before the subcommand survives.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true",
+                        default=argparse.SUPPRESS,
+                        help="emit machine-readable JSON")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    s = sub.add_parser("gotzmann", parents=[common],
+                       help="Gotzmann number of a polynomial")
+    s.add_argument("polynomial")
+    s.set_defaults(handler=cli.cmd_gotzmann)
+
+    s = sub.add_parser("rho", parents=[common],
+                       help="least regularity of an admissible function"
+                            " with the given tail")
+    s.add_argument("polynomial")
+    s.set_defaults(handler=cli.cmd_rho)
+
+    s = sub.add_parser("rho-bar", parents=[common],
+                       help="least regularity of a scheme Hilbert function"
+                            " with the given tail")
+    s.add_argument("polynomial")
+    s.set_defaults(handler=cli.cmd_rho_bar)
+
+    s = sub.add_parser("minfn", parents=[common],
+                       help="pointwise minimal function with regularity"
+                            " at most rho (exactly rho with --g)")
+    s.add_argument("polynomial")
+    s.add_argument("--rho", type=int, default=None,
+                   help="target regularity (default: the least scheme one)")
+    s.add_argument("--g", action="store_true",
+                   help="least function with regularity exactly rho")
+    s.set_defaults(handler=cli.cmd_minfn)
+
+    s = sub.add_parser("exists", parents=[common],
+                       help="is there a scheme function with this tail and"
+                            " regularity exactly rho?")
+    s.add_argument("polynomial")
+    s.add_argument("--rho", type=int, required=True)
+    s.set_defaults(handler=cli.cmd_exists)
+
+    s = sub.add_parser("minreg", parents=[common],
+                       help="minimal regularity: global, at --rho, for"
+                            " --hf, or inside P^n with --ambient")
+    s.add_argument("polynomial", nargs="?", default=None)
+    s.add_argument("--rho", type=int, default=None)
+    s.add_argument("--hf", default=None,
+                   help="Hilbert function like '1,5,11 ; 15z-24'")
+    s.add_argument("--ambient", type=int, default=None,
+                   help="dimension n of the ambient projective space")
+    s.set_defaults(handler=cli.cmd_minreg)
+
+    s = sub.add_parser("witness", parents=[common],
+                       help="construct and verify a minimal witness ideal,"
+                            " emitted as a certificate document")
+    s.add_argument("polynomial", nargs="?", default=None)
+    s.add_argument("--hf", default=None,
+                   help="target Hilbert function (default: the pointwise"
+                        " minimum over all schemes with the polynomial)")
+    s.add_argument("-o", "--output", default=None,
+                   help="write the certificate to this file")
+    s.set_defaults(handler=cli.cmd_witness)
+
+    s = sub.add_parser("verify", parents=[common],
+                       help="independently check a certificate document")
+    s.add_argument("certificate")
+    s.set_defaults(handler=cli.cmd_verify)
+
+    s = sub.add_parser("table", parents=[common],
+                       help="print the recursion trace table")
+    s.add_argument("polynomial")
+    s.add_argument("--rho", type=int, default=None)
+    s.set_defaults(handler=cli.cmd_table)
+
+    return parser
+
 
 _config = None
 

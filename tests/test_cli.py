@@ -3,13 +3,17 @@
 import contextlib
 import io
 import json
+import os
 import re
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import minreg.cli
-from minreg.cli import main
+import minreg.regularity
+from conftest import reference_parser
+from minreg.cli import UsageError, main
 from minreg.constructions import certificate_from_dict, verify_witness
 from minreg.errors import InternalInconsistency, VerificationFailure
 from minreg.polynomials import quotient_tail
@@ -286,6 +290,9 @@ def test_refused_options_return_two_with_the_usage_line(capsys):
     ["--json", "exists", "5z-3", "--rho", "x"],
     ["--json", "no-such-command"],
     ["exists", "5z-3", "--json"],
+    # a prefix of --json reads as --json, and asks for a document too
+    ["--js", "no-such"],
+    ["gotzmann", "--js"],
 ])
 def test_refused_options_give_an_error_document_under_json(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -293,6 +300,112 @@ def test_refused_options_give_an_error_document_under_json(capsys, argv):
     payload = json.loads(out)
     assert payload["schema"] == 1
     assert payload["error"]["code"] == "UsageError"
+
+
+def test_json_after_the_double_dash_is_a_positional(capsys):
+    code, out, err = run(capsys, "gotzmann", "5z-3", "--", "--json")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: unrecognized arguments: --json"
+    assert err.startswith("usage: minreg [-h] [--json]\n")
+
+
+# Words for command lines: the subcommands, their options, prefixes of
+# them (--js, --he, --r, --am, --out; --h is ambiguous under minreg and
+# witness), the forms -ofile and --rho=3, `--`, `-`, negative numbers and
+# a polynomial that begins with '-', and an unknown option.
+_WORDS = ["gotzmann", "rho", "rho-bar", "minfn", "exists", "minreg",
+          "witness", "verify", "table", "--json", "--js", "-h", "--help",
+          "--he", "--h", "--rho", "--rho=3", "--r", "--am", "--ambient",
+          "--hf", "--g", "-o", "-ofile", "--out", "--", "-", "5z-3", "-3",
+          "-3+5z", "x", "3", "1,4,8 ; 5z-3", "--bogus"]
+
+
+def _outcome(read, argv):
+    """What a reader makes of argv: its fields, its refusal (message and
+    usage words: Python 3.13 wraps the top usage line elsewhere), or the
+    help it printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), \
+                mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            fields = read(list(argv))
+    except UsageError as exc:
+        return "refused", str(exc), exc.usage.split()
+    except SystemExit as exc:
+        fields = None
+        assert exc.code == 0
+    if fields is None:
+        assert out.getvalue().startswith("usage: minreg")
+        return "help", out.getvalue().split("\n")[0]
+    return "read", vars(fields)
+
+
+_REFERENCE = reference_parser()
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(_WORDS), max_size=6))
+@example(["minreg", "--amb", "4", "5z-3"])
+@example(["minreg", "--h"])
+@example(["--json", "minreg", "-3", "--rho", "-3", "--rho=3"])
+@example(["witness", "-ofile", "--", "-3+5z"])
+@example(["minfn", "5z-3", "x"])
+@example(["exists", "--rho", "x", "-h"])
+def test_the_reader_reads_as_argparse_does(argv):
+    """The table reader against the argparse parser it replaced: the same
+    fields, the same refusal, or the help of the same level."""
+    assert _outcome(minreg.cli._read, argv) == \
+        _outcome(_REFERENCE.parse_args, argv)
+
+
+@pytest.mark.parametrize("argv,message", [
+    # Python 3.13's argparse prints the help for -hx; 3.10 and 3.11 refuse
+    # it, as the reader does
+    (["gotzmann", "-hx"], "argument -h/--help: ignored explicit argument"
+                          " 'x'"),
+    (["minreg", "--json=x"], "argument --json: ignored explicit argument"
+                             " 'x'"),
+    (["minreg", "--=x"], "ambiguous option: --=x could match --help, --json"),
+    (["-h=x"], "argument -h/--help: ignored explicit argument 'x'"),
+    # 3.10 and 3.11 drop an explicit `--` and set rho to an empty list,
+    # which no handler expects; 3.13 reads the word, as the reader does
+    (["minreg", "5z-3", "--rho=--"], "argument --rho: invalid int value:"
+                                     " '--'"),
+])
+def test_the_reader_refuses_explicit_values(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: " + message
+
+
+def test_the_reader_takes_the_forms_of_a_value():
+    read = minreg.cli._read
+    assert {read(argv).ambient for argv in (
+        ["minreg", "--ambient", "4", "15z-24"],
+        ["minreg", "--ambient=4", "15z-24"],
+        ["minreg", "--amb", "4", "15z-24"],
+        ["minreg", "15z-24", "--ambient", "9", "--ambient", "4"])} == {4}
+    assert {read(["witness"] + words).output for words in (
+        ["-o", "c.json"], ["-oc.json"], ["-o=c.json"],
+        ["--output", "c.json"], ["--out=c.json"])} == {"c.json"}
+    assert read(["minreg", "--rho", "-3"]).rho == -3
+    assert read(["gotzmann", "--", "-3+5z"]).polynomial == "-3+5z"
+    assert read(["gotzmann", "5z-3", "--json"]).json
+    assert read(["--json", "gotzmann", "5z-3"]).json
+
+
+def test_help_lists_the_table(capsys):
+    code, out, _ = run(capsys, "-h")
+    assert code == 0
+    for name in minreg.cli.COMMANDS:
+        assert re.search(r"^  %s  " % re.escape(name), out, re.M), name
+    assert "minreg gotzmann -- -3+5z" in out
+    code, out, _ = run(capsys, "witness", "--he")
+    assert code == 0
+    assert out.startswith("usage: minreg witness [-h] [--json] [--hf HF]"
+                          " [-o OUTPUT] [polynomial]\n")
+    assert re.search(r"^  -o, --output OUTPUT +write the certificate", out,
+                     re.M)
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["exists", "-h"]])
@@ -322,6 +435,21 @@ def test_table_for_the_second_appendix_polynomial(capsys):
     assert rows[2] == ["6z^2-18z+37", "678", "1", "4", "4", "5", "7"]
     assert rows[3] == ["12z-24", "42", "5", "5", "5", "6", "7"]
     assert rows[4] == ["12", "12", "1", "1", "6", "-", "7"]
+
+
+def test_table_builds_only_the_output_it_prints(capsys, monkeypatch):
+    def unused(*args):
+        raise AssertionError("built for the other mode")
+
+    text = run(capsys, "table", "2z^3-6z^2+29z-20")[1]
+    document = run(capsys, "table", "2z^3-6z^2+29z-20", "--json")[1]
+    monkeypatch.setattr(minreg.cli, "_trace_payload", unused)
+    assert run(capsys, "table", "2z^3-6z^2+29z-20") == (0, text, "")
+    monkeypatch.undo()
+    monkeypatch.setattr(minreg.regularity.RegularityReport, "table_lines",
+                        unused)
+    assert run(capsys, "table", "2z^3-6z^2+29z-20", "--json") == \
+        (0, document, "")
 
 
 def test_high_degree_polynomials_descend_without_recursion(capsys):
@@ -479,3 +607,29 @@ def test_verify_refuses_a_false_regularity_at_once(tmp_path, capsys):
     assert code == 1
     assert "regularity: FAILED" in out
     assert "hilbert function by enumeration: FAILED" in out
+
+
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.integers(-2 ** 70, -2 ** 64) | st.text())
+_payloads = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), _payloads, max_size=5))
+@example({"a": [True, 1, False, 0, None], "b": {}, "c": [], "d": [[], {}],
+          "\u00e9\u2603\U0001f600": "\x00\x1f\"\\\u2028\n",
+          "n": [-(10 ** 40), 10 ** 40, -1]})
+def test_the_writer_writes_what_json_dumps_writes(payload):
+    expected = json.dumps(dict(payload, schema=1), indent=2, sort_keys=True)
+    assert minreg.cli._document(payload) == expected
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1, 2}, {1: "a"},
+                                   [b"bytes"], {"a": [object()]}])
+def test_the_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        minreg.cli._document({"value": value})

@@ -60,12 +60,14 @@ def test_the_cli_imports_neither_fractions_nor_decimal_nor_dataclasses():
     # Polynomial text is parsed and printed in integers; Fraction is
     # imported only for inputs outside the term grammar.  The records are
     # plain classes and named tuples, so dataclasses, which loads inspect,
-    # is never compiled and imported by a command.
+    # is never compiled and imported by a command.  The command line is
+    # read from cli's own table, so neither argparse nor the gettext it
+    # loads is imported either.
     src = os.path.dirname(os.path.dirname(os.path.abspath(minreg.__file__)))
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, minreg.cli; print(sorted("
-         "{'fractions', 'decimal', 'dataclasses', 'inspect'}"
-         " & set(sys.modules)))"],
+         "{'fractions', 'decimal', 'dataclasses', 'inspect', 'argparse',"
+         " 'gettext'} & set(sys.modules)))"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, check=True, timeout=60).stdout
     assert loaded == "[]\n"
