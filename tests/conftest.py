@@ -36,6 +36,9 @@ values(), partial_sums() and interpolate() are used by tests only.
 reference_parser() is the argparse parser that cli's table reader
 replaced, the reference the reader must agree with: its fields, its
 refusals (UsageError, with the message and usage line) and its help.
+answer() runs one command line through cli.main and gives its exit code
+and a digest of its stdout, the entries of tests/data/answers.json, and
+readme_block() reads a fenced block of the README.
 poly_add, poly_sub, poly_scale, poly_mul, poly_eval and poly_shift_arg
 work on ascending monomial coefficients, which the program only parses
 and prints, and poly_nonnegative_from() is the forward-difference scan on
@@ -52,6 +55,9 @@ from_writing() gives a writing's polynomial in those coefficients.
 """
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -680,6 +686,29 @@ def partial_sums(h):
         points.append((t, value))
     tail = polynomial_from_coefficients(interpolate(points))
     return HilbertFunction(tuple(sums), tail)
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      os.pardir, "README.md")
+
+
+def readme_block(heading, language=""):
+    """The first fenced block after a README heading, as its lines."""
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    after = text[text.index("## %s\n" % heading):]
+    start = after.index("```%s\n" % language) + len(language) + 4
+    return after[start:after.index("```", start)].splitlines()
+
+
+def answer(argv):
+    """cli.main's exit code on argv and the first 16 hex digits of the
+    sha256 of its stdout; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+
 
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError where argparse would print its usage and exit 2."""

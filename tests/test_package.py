@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import minreg
+from conftest import readme_block
 from minreg import cli
 
 PUBLIC = [
@@ -36,10 +37,6 @@ REMOVED = [
     "degrevlex_key", "expanded_lifting", "ideal_graft", "lex_segment_ideal",
     "minus_minus", "remove_minimal_term",
 ]
-
-README = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      os.pardir, "README.md")
-
 
 def test_the_public_api_is_pinned():
     assert minreg.__all__ == sorted(PUBLIC)
@@ -71,15 +68,6 @@ def test_the_cli_imports_neither_fractions_nor_decimal_nor_dataclasses():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, check=True, timeout=60).stdout
     assert loaded == "[]\n"
-
-
-def readme_block(heading, language=""):
-    """The first fenced block after a README heading, as its lines."""
-    with open(README, encoding="utf-8") as handle:
-        text = handle.read()
-    after = text[text.index("## %s\n" % heading):]
-    start = after.index("```%s\n" % language) + len(language) + 4
-    return after[start:after.index("```", start)].splitlines()
 
 
 def test_the_readme_library_example_runs():
