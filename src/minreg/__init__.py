@@ -9,15 +9,15 @@ function regularity, for a fixed function, inside a fixed projective
 space) and the constructions module produces ideals achieving it.
 """
 
-from .borel import StronglyStableIdeal, borel_leq
+from .borel import StronglyStableIdeal
 from .constructions import (VerificationReport, WitnessCertificate,
                             certificate_from_dict, verify_witness,
                             witness_min_reg)
-from .errors import (AmbientTooSmall, DegreeMismatch, DomainError, EmptyClass,
-                     InputError, InternalInconsistency, LinearVariety,
-                     MinregError, NegativeDerivative, NotAdmissible,
-                     NotSaturated, NotSchemeHF, ParseError, RhoTooSmall,
-                     TooManyDigits, VerificationFailure)
+from .errors import (AmbientTooSmall, DomainError, EmptyClass, InputError,
+                     InternalInconsistency, LinearVariety, MinregError,
+                     NegativeDerivative, NotAdmissible, NotSaturated,
+                     NotSchemeHF, ParseError, RhoTooSmall, TooManyDigits,
+                     VerificationFailure)
 from .functions import (HilbertFunction, is_admissible_function,
                         is_scheme_function, min_function_regularity,
                         min_scheme_regularity, minimal_function,
@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissiblePolynomial",
     "AmbientTooSmall",
-    "DegreeMismatch",
     "DomainError",
     "EmptyClass",
     "HilbertFunction",
@@ -53,7 +52,6 @@ __all__ = [
     "VerificationFailure",
     "VerificationReport",
     "WitnessCertificate",
-    "borel_leq",
     "certificate_from_dict",
     "is_admissible_function",
     "is_scheme_function",

@@ -37,7 +37,7 @@ from collections import Counter
 from itertools import accumulate
 
 from .binomials import binom, plus_plus
-from .errors import DegreeMismatch, InternalInconsistency, NotSaturated
+from .errors import InternalInconsistency, NotSaturated
 from .functions import HilbertFunction
 from .polynomials import quotient_tail, slice_growth
 
@@ -123,25 +123,6 @@ def lex_terms(nvars: int, low: int, degree: int, lo: int, hi: int,
         else:
             term[low] += 1
         yield tuple(term)
-
-
-def borel_leq(a, b) -> bool:
-    """True when b is reachable from a by raising moves.
-
-    Equal-degree terms compare by suffix sums: a <= b iff for every i the
-    total exponent of x_i..x_n in a is at most the one in b.
-    """
-    if sum(a) != sum(b):
-        raise DegreeMismatch(
-            "cannot compare %s with %s" % (term_string(a), term_string(b)))
-    suffix_a = 0
-    suffix_b = 0
-    for x, y in zip(reversed(a), reversed(b)):
-        suffix_a += x
-        suffix_b += y
-        if suffix_a > suffix_b:
-            return False
-    return True
 
 
 class StronglyStableIdeal:

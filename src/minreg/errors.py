@@ -54,10 +54,6 @@ class RhoTooSmall(DomainError):
     """Requested regularity is below the minimum for this Hilbert polynomial."""
 
 
-class DegreeMismatch(DomainError):
-    """Monomials of different degrees where equal degrees are required."""
-
-
 class NotSaturated(DomainError):
     """Operation requires a saturated ideal."""
 

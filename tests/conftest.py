@@ -27,6 +27,8 @@ artinian_lift() adds a new least variable, and lex_segment_ideal() is
 the saturated lex-segment ideal of a polynomial, the ghl ideal of its
 least function at its Gotzmann number.  minus_minus() is a_<t> by one
 Macaulay expansion, and degrevlex_key() the degrevlex sort key.
+borel_leq() is the Borel order by suffix sums, which the oracles check
+against its definition by raising moves; the program compares no terms.
 sweep_classes() reads the benchmark's sweep of fixture classes, each
 with its stored certificate.
 reference_expand() is the plain greedy Macaulay expansion, doubling up
@@ -106,6 +108,22 @@ def degrevlex_key(term):
     """Sort key for degrevlex: by degree, then by the exponents of x0, x1,
     ... in turn, a larger exponent first."""
     return (sum(term), tuple(-e for e in term))
+
+
+def borel_leq(a, b):
+    """True when b is reachable from a by raising moves: for every i the
+    total exponent of x_i..x_n in a is at most the one in b.  ValueError
+    on terms of different degrees."""
+    if sum(a) != sum(b):
+        raise ValueError("cannot compare %s with %s"
+                         % (term_string(a), term_string(b)))
+    suffix_a = suffix_b = 0
+    for x, y in zip(reversed(a), reversed(b)):
+        suffix_a += x
+        suffix_b += y
+        if suffix_a > suffix_b:
+            return False
+    return True
 
 
 def minus_minus(a, t):

@@ -10,8 +10,7 @@ from time import monotonic
 import pytest
 
 from minreg.binomials import macaulay_expand, plus_plus
-from minreg.borel import (StronglyStableIdeal, borel_leq, ghl_ideal,
-                          slice_heights)
+from minreg.borel import StronglyStableIdeal, ghl_ideal, slice_heights
 from minreg.constructions import (WitnessCertificate, verify_witness,
                                   witness_min_reg)
 from minreg.errors import EmptyClass
@@ -23,9 +22,10 @@ from minreg.polynomials import parse_polynomial
 from minreg.regularity import (min_regularity, min_regularity_at,
                                min_regularity_of_function)
 
-from conftest import (BorelSet, contains, degree_slice, ghl_set, ideal,
-                      lex_segment_ideal, lgh, minus_minus, monomial_basis,
-                      saturate_slice, saturation, stepwise_lifting)
+from conftest import (BorelSet, borel_leq, contains, degree_slice, ghl_set,
+                      ideal, lex_segment_ideal, lgh, minus_minus,
+                      monomial_basis, saturate_slice, saturation,
+                      stepwise_lifting)
 
 
 def poly(text):
