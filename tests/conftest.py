@@ -28,7 +28,8 @@ the saturated lex-segment ideal of a polynomial, the ghl ideal of its
 least function at its Gotzmann number.  minus_minus() is a_<t> by one
 Macaulay expansion, and degrevlex_key() the degrevlex sort key.
 borel_leq() is the Borel order by suffix sums, which the oracles check
-against its definition by raising moves; the program compares no terms.
+against its definition by raising moves; no construction compares terms
+by it.
 sweep_classes() reads the benchmark's sweep of fixture classes, each
 with its stored certificate.
 reference_expand() is the plain greedy Macaulay expansion, doubling up
@@ -704,6 +705,7 @@ def partial_sums(h):
         points.append((t, value))
     tail = polynomial_from_coefficients(interpolate(points))
     return HilbertFunction(tuple(sums), tail)
+
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       os.pardir, "README.md")

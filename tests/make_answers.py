@@ -65,7 +65,6 @@ def main():
         os.chdir(scratch)
         entries = [[argv, *answer(argv)] for argv in argvs]
         os.chdir(home)
-    os.makedirs(os.path.dirname(ANSWERS), exist_ok=True)
     with open(ANSWERS, "w", encoding="utf-8") as handle:
         handle.write("[\n%s\n]\n" % ",\n".join(
             json.dumps(entry) for entry in entries))

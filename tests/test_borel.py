@@ -18,10 +18,11 @@ from minreg.polynomials import (AdmissiblePolynomial, parse_polynomial,
 from minreg.regularity import min_regularity_of_function
 
 from conftest import (BorelSet, artinian_lex_ideal, artinian_lift,
-                      borel_leq, contains, degree_slice, degrevlex_key, from_writing, ideal,
-                      lex_key, lex_segment_ideal, lgh, minimal_terms,
-                      monomial_basis, partial_sums, reference_ghl_ideal,
-                      saturate_slice, saturation, sweep_classes, writings)
+                      borel_leq, contains, degree_slice, degrevlex_key,
+                      from_writing, ideal, lex_key, lex_segment_ideal, lgh,
+                      minimal_terms, monomial_basis, partial_sums,
+                      reference_ghl_ideal, saturate_slice, saturation,
+                      sweep_classes, writings)
 from test_verifier import budget
 
 

@@ -12,11 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import minreg.cli
 import minreg.regularity
-from conftest import reference_parser
+from conftest import from_writing, reference_parser, writings
 from minreg.cli import UsageError, main
 from minreg.constructions import certificate_from_dict, verify_witness
 from minreg.errors import InternalInconsistency, VerificationFailure
-from minreg.polynomials import quotient_tail
+from minreg.polynomials import polynomial_from_coefficients, quotient_tail
 
 
 def run(capsys, *argv):
@@ -182,6 +182,40 @@ def test_any_text_ends_in_one_document(text):
             code = main(argv)
         assert code in (0, 1, 2), (argv, out.getvalue())
         json.loads(out.getvalue())
+
+
+@st.composite
+def _questions(draw):
+    """A command line asking one question of a random admissible
+    polynomial: every subcommand that takes one, with or without its
+    options, in text or --json."""
+    p = polynomial_from_coefficients(from_writing(draw(writings)))
+    rho = ["--rho", str(draw(st.integers(-3, 30)))]
+    ambient = ["--ambient", str(draw(st.integers(-1, 12)))]
+    command, *options = draw(st.sampled_from([
+        ["rho"], ["rho-bar"], ["minfn"], ["minfn", "--g"], ["minfn"] + rho,
+        ["minfn", "--g"] + rho, ["exists"] + rho, ["minreg"],
+        ["minreg"] + rho, ["minreg"] + ambient, ["table"], ["table"] + rho,
+        ["witness"]]))
+    json_flag = draw(st.sampled_from([[], ["--json"]]))
+    return [command, str(p)] + options + json_flag
+
+
+@settings(max_examples=300, deadline=None)
+@given(_questions())
+def test_every_question_ends_in_one_answer(argv):
+    """An answer, a domain refusal or a refused line, never a bug or a
+    traceback; under --json exactly one document on stdout and nothing
+    on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, out, err)
+    assert "Traceback" not in out + err, argv
+    if "--json" in argv:
+        assert json.loads(out)["schema"] == 1, argv
+        assert err == "", argv
 
 
 def test_too_many_digits_is_a_domain_error(capsys):
