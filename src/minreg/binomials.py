@@ -43,9 +43,12 @@ def macaulay_expand(a: int, t: int) -> tuple[int, ...]:
     """Tops of the Macaulay expansion of a >= 1 in base t >= 1 (greedy)."""
     if a < 1 or t < 1:
         raise ValueError("macaulay expansion needs a >= 1 and t >= 1")
-    hi = t + 1
-    while math.comb(hi, t) <= a:
-        hi *= 2
+    # Doubling the gap above t, not t + 1 itself, keeps binomials such as
+    # C(2t + 2, t) out when a is near t.
+    gap = 1
+    while math.comb(t + gap, t) <= a:
+        gap *= 2
+    hi = t + gap
     tops, remainder, index = [], a, t
     while remainder > 0:
         # After C(k, index) is taken the remainder is below C(k, index-1),

@@ -6,7 +6,8 @@ empty writing) for an Artinian quotient; derivative() of a tail always
 returns a polynomial, ZERO below a constant.  The prefix is
 kept canonical: its last entry always differs from the tail value there,
 so the length of the prefix is the regularity of the function, the first
-point from which the function agrees with its tail forever.
+point from which the function agrees with its tail forever.  A function
+keeps its first difference once delta() has built it.
 
 The minimal functions come from Macaulay growth: below a value a at t
 they run down a_<t>, (a_<t>)_<t-1>, ..., one binomials.lowered_chain.
@@ -33,7 +34,7 @@ class HilbertFunction:
     """Integer function given by a finite prefix and a polynomial tail;
     the default tail ZERO makes it zero from len(prefix) on."""
 
-    __slots__ = ("prefix", "tail")
+    __slots__ = ("prefix", "tail", "_delta")
 
     def __init__(self, prefix: tuple, tail: AdmissiblePolynomial = ZERO):
         values = []
@@ -45,6 +46,7 @@ class HilbertFunction:
             values.pop()
         self.prefix = tuple(values)
         self.tail = tail
+        self._delta = None
 
     def __eq__(self, other):
         if type(other) is not HilbertFunction:
@@ -67,21 +69,21 @@ class HilbertFunction:
         return self.tail(t)
 
     def delta(self) -> "HilbertFunction":
-        """First difference function; NegativeDerivative if it ever dips."""
-        diffs = []
-        previous = 0
-        for t in range(len(self.prefix) + 1):
-            current = self(t)
-            step = current - previous
+        """First difference function, kept once built; NegativeDerivative,
+        on every call, if it ever dips."""
+        if self._delta is not None:
+            return self._delta
+        values = self.prefix + (self.tail(len(self.prefix)),)
+        diffs = tuple(map(int.__sub__, values, (0,) + values))
+        for t, step in enumerate(diffs):
             if step < 0:
                 raise NegativeDerivative(
                     "difference is %d at t = %d" % (step, t))
-            diffs.append(step)
-            previous = current
         tail = self.tail.derivative()
         if not tail.at_least_from(ZERO, len(self.prefix) + 1):
             raise NegativeDerivative("difference goes negative inside the tail")
-        return HilbertFunction(tuple(diffs), tail)
+        self._delta = HilbertFunction(diffs, tail)
+        return self._delta
 
     def dominated_by(self, other: "HilbertFunction") -> bool:
         """True when self(t) <= other(t) for every t >= 0."""
@@ -134,11 +136,11 @@ def is_admissible_function(h: HilbertFunction) -> bool:
         horizon = h.regularity + 1
     else:
         horizon = max(h.regularity, min_function_regularity(h.tail), 1)
-    for t in range(horizon + 2):
-        if h(t) < 0:
-            return False
+    values = [*h.prefix, *map(h.tail, range(h.regularity, horizon + 2))]
+    if min(values) < 0:
+        return False
     for t in range(1, horizon + 1):
-        current, nxt = h(t), h(t + 1)
+        current, nxt = values[t], values[t + 1]
         if current == 0:
             if nxt > 0:
                 return False
@@ -220,8 +222,10 @@ def min_function_regularity(p: AdmissiblePolynomial) -> int:
 def min_scheme_regularity(p: AdmissiblePolynomial) -> int:
     """Least regularity among Hilbert functions of schemes with polynomial p.
 
-    Found as one less than the first point where the partial sums of the
-    minimal difference function fit under p."""
+    Found as one less than the first t where minimal_function(dp, t) sums
+    below t to at most p(t - 1).  That function is lowered_chain(dp(e), e)
+    and then dp, e = min(t, r - 1), r dp's Gotzmann number; dp's part sums
+    to p(t - 1) - p(e - 1), so the chain's sum is held to p(e - 1)."""
     if p.degree == 0:
         return 0 if p(0) == 1 else 1
     dp = p.derivative()
@@ -237,10 +241,10 @@ def min_scheme_regularity(p: AdmissiblePolynomial) -> int:
     for q in reversed(tower):
         min_function_regularity(q)
     floor = max(min_function_regularity(dp), 1)
-    cap = p.gotzmann_number + 1
-    for t in range(floor, cap + 1):
-        f = minimal_function(dp, t)
-        if sum(f(u) for u in range(t)) <= p(t - 1):
+    last = max(dp.gotzmann_number - 1, 0)
+    for t in range(floor, p.gotzmann_number + 2):
+        e = min(t, last)
+        if sum(lowered_chain(dp(e), e)) <= p(e - 1):
             if t == 1 and p(0) != 1:
                 # agreeing with p already at 0 needs p(0) = 1
                 continue
@@ -249,14 +253,24 @@ def min_scheme_regularity(p: AdmissiblePolynomial) -> int:
 
 
 def least_dominated_regularity(q: AdmissiblePolynomial, w: HilbertFunction,
-                               cap: int) -> int:
+                               cap: int):
     """Least t, from the scheme minimum of q up to cap, whose minimal
-    function lies pointwise below w.  Callers pass a cap that theory
-    guarantees to succeed, so running past it is a bug."""
-    floor = min_scheme_regularity(q)
-    for t in range(floor, cap + 1):
-        if minimal_function(q, t).dominated_by(w):
-            return t
+    function (lowered_chain(q(e), e), then q from e = min(t, r - 1), r the
+    Gotzmann number) lies pointwise below w, and that function.  Callers
+    pass a cap that theory guarantees to succeed; running past it is a bug."""
+    last = max(q.gotzmann_number - 1, 0)
+    bound = [w(s) for s in range(max(w.regularity, min(cap, last)))]
+    # q must not pass w from e up to w's regularity
+    rise = max((s + 1 for s in range(w.regularity) if q(s) > bound[s]),
+               default=0)
+    for t in range(min_scheme_regularity(q), cap + 1):
+        e = min(t, last)
+        if e < rise:
+            continue
+        chain = lowered_chain(q(e), e)
+        if (all(map(int.__le__, chain, bound))
+                and w.tail.at_least_from(q, max(e, w.regularity))):
+            return t, HilbertFunction(tuple(chain), q)
     raise InternalInconsistency(
         "no minimal function of %s fits below %s up to %d" % (q, w, cap))
 
@@ -269,8 +283,7 @@ def descent_step(u: HilbertFunction):
     minimal function."""
     dp = u.tail.derivative()
     cap = max(u.regularity + 1, min_scheme_regularity(dp))
-    fit = least_dominated_regularity(dp, u.delta(), cap)
-    return fit, minimal_function(dp, fit)
+    return least_dominated_regularity(dp, u.delta(), cap)
 
 
 def minimal_scheme_function(p: AdmissiblePolynomial, rho: int):

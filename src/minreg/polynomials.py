@@ -98,7 +98,7 @@ class AdmissiblePolynomial:
     def degree(self) -> int:
         return len(self.coordinates) - 1
 
-    @property
+    @cached_property
     def gotzmann_number(self) -> int:
         return sum(count for _, count in self.runs)
 
@@ -149,6 +149,10 @@ class AdmissiblePolynomial:
         return True
 
     def __str__(self):
+        return self._text
+
+    @cached_property
+    def _text(self):
         """The monomial coefficients of d! p, summed as integers (d!
         C(z + k, k) is d!/k! times the product of z + 1, ..., z + k), each
         printed over d! in lowest terms."""

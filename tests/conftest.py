@@ -35,6 +35,10 @@ with its stored certificate.
 reference_expand() is the plain greedy Macaulay expansion, doubling up
 from the index at every step, that binomials.macaulay_expand must agree
 with.
+reference_least_dominated() and reference_scheme_minimum() are the scans
+that build a whole minimal function for every candidate regularity,
+which functions.least_dominated_regularity and min_scheme_regularity
+must agree with.
 values(), partial_sums() and interpolate() are used by tests only.
 reference_parser() is the argparse parser that cli's table reader
 replaced, the reference the reader must agree with: its fields, its
@@ -77,7 +81,9 @@ from minreg.borel import (StronglyStableIdeal, basis_size, ek_index,
                           ghl_ideal, min_index, slice_heights, term_string)
 from minreg.constructions import VerificationReport, WitnessCertificate
 from minreg.errors import InternalInconsistency, NotAdmissible
-from minreg.functions import HilbertFunction, descent_step, minimal_function
+from minreg.functions import (HilbertFunction, descent_step,
+                              min_function_regularity,
+                              min_scheme_regularity, minimal_function)
 from minreg.polynomials import (AdmissiblePolynomial,
                                 polynomial_from_coefficients, slice_growth)
 
@@ -663,6 +669,33 @@ def reference_expand(a, t):
         a -= binom(lo, index)
         index -= 1
     return tuple(tops)
+
+
+def reference_least_dominated(q, w, cap):
+    """(fit, function): the least t from the scheme minimum of q up to
+    cap whose minimal function lies pointwise below w, and that function;
+    None when no t up to cap has one."""
+    for t in range(min_scheme_regularity(q), cap + 1):
+        f = minimal_function(q, t)
+        if f.dominated_by(w):
+            return t, f
+    return None
+
+
+def reference_scheme_minimum(p):
+    """The least scheme regularity of p: one less than the first t >= 1
+    where the partial sum below t of minimal_function(p', t) is at most
+    p(t - 1), t = 1 only when p(0) = 1.  None when no t up to the
+    Gotzmann number plus one has it."""
+    if p.degree == 0:
+        return 0 if p(0) == 1 else 1
+    dp = p.derivative()
+    for t in range(max(min_function_regularity(dp), 1),
+                   p.gotzmann_number + 2):
+        f = minimal_function(dp, t)
+        if sum(f(u) for u in range(t)) <= p(t - 1) and (t > 1 or p(0) == 1):
+            return t - 1
+    return None
 
 
 def values(h, stop):

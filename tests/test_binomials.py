@@ -95,6 +95,23 @@ def test_macaulay_expand_matches_reference_greedy():
         assert macaulay_expand(a, t) == reference_expand(a, t), (a, t)
 
 
+def test_macaulay_expand_near_the_doubling_edges():
+    # The first top is found by doubling its gap above t: a = C(t + 2^k, t)
+    # and its neighbours put the top at either end of a gap, and large a
+    # put it far above t.
+    for t in range(1, 41):
+        for k in range(9):
+            edge = binom(t + 2 ** k, t)
+            for a in (edge - 1, edge, edge + 1):
+                if a >= 1:
+                    assert macaulay_expand(a, t) == reference_expand(a, t), \
+                        (a, t)
+    for t, top in ((2, 10 ** 6), (3, 50000), (5, 3000), (30, 4000),
+                   (200, 203), (2999, 3000), (9999, 10000)):
+        for a in (binom(top, t) - 1, binom(top, t), binom(top, t) + 1):
+            assert macaulay_expand(a, t) == reference_expand(a, t), (top, t)
+
+
 def test_lowered_chain_matches_repeated_minus_minus():
     for t in range(31):
         for a in range(501):

@@ -9,19 +9,23 @@ the constructed functions is certified by per-point lowering probes.
 import time
 
 import pytest
+from hypothesis import given, settings
 
 from minreg.binomials import plus_plus
 from minreg.borel import StronglyStableIdeal
-from minreg.errors import (NegativeDerivative, NotAdmissible, ParseError,
-                           RhoTooSmall)
+from minreg.errors import (InternalInconsistency, NegativeDerivative,
+                           NotAdmissible, ParseError, RhoTooSmall)
 from minreg.functions import (HilbertFunction, is_admissible_function,
                               is_scheme_function, least_dominated_regularity,
                               min_function_regularity, min_scheme_regularity,
                               minimal_function, minimal_function_exact,
                               minimal_scheme_function, parse_hilbert_function)
-from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
+from minreg.polynomials import (AdmissiblePolynomial, parse_polynomial,
+                                polynomial_from_coefficients)
 
-from conftest import minus_minus, partial_sums, values
+from conftest import (from_writing, minus_minus, partial_sums,
+                      reference_least_dominated, reference_scheme_minimum,
+                      values, writings)
 
 
 def hf(text):
@@ -152,6 +156,25 @@ def test_delta_raises_on_tail_dip():
     assert values(h, 6) == [1, 2, 94, 76, 70, 76]
     with pytest.raises(NegativeDerivative):
         h.delta()
+
+
+def test_delta_is_kept_and_a_dip_raises_every_time():
+    f = minimal_function_exact(poly("12z-25"), 7)
+    g = minimal_function_exact(poly("12z-25"), 7)
+    d = f.delta()
+    assert f.delta() is d
+    assert f.delta() == d == g.delta()
+    # g has built its difference and a fresh copy has not: the record
+    # compares, hashes and prints by its prefix and tail alone
+    fresh = minimal_function_exact(poly("12z-25"), 7)
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert {fresh: 1}[f] == 1
+    dips = (HilbertFunction((1, 2, 1)),
+            HilbertFunction((1, 2), polynomial_from_coefficients((166, -48, 6))))
+    for h in dips:
+        for _ in range(3):
+            with pytest.raises(NegativeDerivative):
+                h.delta()
 
 
 def test_partial_sums():
@@ -477,5 +500,69 @@ def test_minimal_scheme_function_empty_beyond_gotzmann():
 def test_least_dominated_regularity():
     p = poly("1/3z^3+2z^2+14/3z-4")
     u = minimal_scheme_function(p, 3)
-    b = least_dominated_regularity(p.derivative(), u.delta(), u.regularity + 1)
-    assert b == 4
+    fit, f = least_dominated_regularity(p.derivative(), u.delta(),
+                                        u.regularity + 1)
+    assert fit == 4
+    assert f == minimal_function(p.derivative(), 4)
+
+
+def test_least_dominated_regularity_reads_the_tail_past_the_chain():
+    # z + 1 lies below the constant 5 up to 3 and above it from 4 on, so
+    # only a candidate whose chain covers 0..3 fits under it
+    five, line = poly("5"), polynomial_from_coefficients((1, 1))
+    w = HilbertFunction((), line)
+    assert reference_least_dominated(five, w, 6) == (4, minimal_function(five, 4))
+    assert least_dominated_regularity(five, w, 6) == (4, minimal_function(five, 4))
+
+
+def _scans_match_their_references(top):
+    """Down the derivative tower of top: min_scheme_regularity against the
+    partial-sum scan, and least_dominated_regularity against building
+    every candidate's minimal function, below the difference of each
+    scheme function of the level above (the descent's question) and
+    below minimal functions whose tails lie above or below q (a tail
+    check that passes late or never)."""
+    levels = [top]
+    while levels[-1].degree > 0:
+        levels.append(levels[-1].derivative())
+    for p in levels:
+        assert min_scheme_regularity.__wrapped__(p) == \
+            reference_scheme_minimum(p), p
+    for p, q in zip(levels, levels[1:]):
+        rho_bar = min_scheme_regularity(p)
+        below = []
+        for rho in range(rho_bar, min(p.gotzmann_number, rho_bar + 6)):
+            u = minimal_scheme_function(p, rho)
+            if u is not None:
+                below.append((u.delta(), u.regularity + 1))
+        for shift in (-1, 1, 3):
+            shifted = AdmissiblePolynomial(
+                (q.coordinates[0] + shift,) + q.coordinates[1:])
+            try:
+                shifted.runs
+                rho = min_function_regularity(shifted)
+            except NotAdmissible:
+                continue
+            for t in range(rho, rho + 4):
+                below.append((minimal_function(shifted, t), t + 3))
+        for w, cap in below:
+            cap = max(cap, min_scheme_regularity(q))
+            expected = reference_least_dominated(q, w, cap)
+            if expected is None:
+                with pytest.raises(InternalInconsistency):
+                    least_dominated_regularity(q, w, cap)
+            else:
+                assert least_dominated_regularity(q, w, cap) == expected, \
+                    (q, w, cap)
+
+
+@pytest.mark.parametrize("text", CHAIN_FIXTURES)
+def test_scans_match_their_references_on_the_fixtures(text):
+    _scans_match_their_references(poly(text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(writings)
+def test_scans_match_their_references_on_random_writings(writing):
+    _scans_match_their_references(polynomial_from_coefficients(
+        from_writing(writing)))

@@ -4,6 +4,7 @@ ambient-constrained variant."""
 import pytest
 from hypothesis import given, settings
 
+from minreg import cli
 from minreg.errors import (AmbientTooSmall, DomainError, EmptyClass,
                            LinearVariety, NotSchemeHF)
 from minreg.functions import (min_scheme_regularity, minimal_function,
@@ -282,6 +283,15 @@ def test_many_points_on_a_line_end_in_time():
     with budget(20):
         report = min_regularity_in_space(poly("3000"), 1)
     assert (report.rho_used, report.regularity) == (2999, 3000)
+
+
+def test_ten_thousand_points_on_a_line_end_in_time(capsys):
+    # Each growth bound near t = 10000 expanded a value near t by doubling
+    # its first top from t + 1, through binomials such as C(2t + 2, t):
+    # 56 s in all.
+    with budget(5):
+        code = cli.main(["minreg", "10000", "--ambient", "1"])
+    assert (code, capsys.readouterr().out) == (0, "10000\n")
 
 
 def test_table_lines_render():
