@@ -85,14 +85,6 @@ class HilbertFunction:
         self._delta = HilbertFunction(diffs, tail)
         return self._delta
 
-    def dominated_by(self, other: "HilbertFunction") -> bool:
-        """True when self(t) <= other(t) for every t >= 0."""
-        horizon = max(self.regularity, other.regularity)
-        for t in range(horizon):
-            if self(t) > other(t):
-                return False
-        return other.tail.at_least_from(self.tail, horizon)
-
     def __str__(self):
         left = ",".join(str(v) for v in self.prefix)
         return "%s ; %s" % (left, self.tail) if left else "; %s" % self.tail

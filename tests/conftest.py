@@ -18,7 +18,9 @@ on whole slices of the ambient ring, and reference_removal() is the
 paper's removal of one Borel-minimal term by them.  reference_verify()
 is the scan verifier that constructions.verify_witness must agree with,
 check for check; its count of the standard terms of each degree over
-the whole ambient ring is standard_counts().
+the whole ambient ring is standard_counts(), and reference_walk() is
+the walk term by term over x1..xn that the verifier's column walk
+replaced and must agree with.
 stepwise_lifting() is the paper's expanded lifting by whole slices, one
 removal at a time, and reference_witness() chains those liftings down
 the derivative tower, from an artinian lex base; it calls no ghl_ideal,
@@ -39,6 +41,8 @@ reference_least_dominated() and reference_scheme_minimum() are the scans
 that build a whole minimal function for every candidate regularity,
 which functions.least_dominated_regularity and min_scheme_regularity
 must agree with.
+dominated_by() compares two Hilbert functions pointwise; no program
+code needs it since least_dominated_regularity compares plain values.
 values(), partial_sums() and interpolate() are used by tests only.
 reference_parser() is the argparse parser that cli's table reader
 replaced, the reference the reader must agree with: its fields, its
@@ -401,6 +405,41 @@ def standard_counts(ideal, stop):
                   if not any(_divides(g, term) for g in ideal.generators))
 
 
+def reference_walk(packed, w, nvars, claim, limit):
+    """The term-by-term walk that constructions._standard_counts_match
+    must agree with: whether, for each degree t <= limit, the standard
+    terms in x1..xn of degree t number claim(t) - claim(t-1), over
+    x0-free generators packed w bits a field.  A term c of degree t + 1
+    is standard iff it is no generator and every c/x_j is; each comes
+    once, as (c/x_k)*x_k with x_k its top variable, and carries its
+    support, so only the c/x_j for its other variables are looked up."""
+    unit = [1]
+    level = {} if 0 in packed else {0: ()}
+    before = 0
+    for t in range(limit):
+        now = claim(t)
+        if len(level) != now - before:
+            return False
+        most, found, before = claim(t + 1) - now, {}, now
+        for s, supp in level.items():
+            top = supp[-1] if supp else 1
+            for k in range(top, nvars):
+                if k == len(unit):
+                    unit.append(1 << w * k)
+                c = s + unit[k]
+                if c in packed:
+                    continue
+                for j in supp:
+                    if j != k and c - unit[j] not in level:
+                        break
+                else:
+                    found[c] = supp if k == top and supp else supp + (k,)
+                    if len(found) > most:
+                        return False
+        level = found
+    return len(level) == claim(limit) - before
+
+
 def artinian_lex_ideal(h):
     """Lex ideal with finite quotient function h, in h(1) variables: its
     degree-t slice is the lex-first C(t+n-1, n-1) - h(t) terms, and its
@@ -442,7 +481,7 @@ def stepwise_lifting(f, Jz, log=None):
         achieved = result.hilbert_function()
         if achieved == f:
             return result
-        assert achieved.dominated_by(f)
+        assert dominated_by(achieved, f)
         t_bar = next(t for t in range(m) if achieved(t) != f(t))
         candidates = [term for term in minimal_terms(B)
                       if term[0] == m - t_bar]
@@ -671,13 +710,22 @@ def reference_expand(a, t):
     return tuple(tops)
 
 
+def dominated_by(f, g):
+    """Whether the Hilbert function f lies pointwise below g: f(t) <= g(t)
+    for every t >= 0, by the values up to both regularities and then the
+    tails."""
+    horizon = max(f.regularity, g.regularity)
+    return all(f(t) <= g(t) for t in range(horizon)) \
+        and g.tail.at_least_from(f.tail, horizon)
+
+
 def reference_least_dominated(q, w, cap):
     """(fit, function): the least t from the scheme minimum of q up to
     cap whose minimal function lies pointwise below w, and that function;
     None when no t up to cap has one."""
     for t in range(min_scheme_regularity(q), cap + 1):
         f = minimal_function(q, t)
-        if f.dominated_by(w):
+        if dominated_by(f, w):
             return t, f
     return None
 

@@ -1,7 +1,12 @@
 """verify_witness against the scan verifier kept in conftest as the
-reference: both must give the same report, check for check.  Its walk
-of the standard terms in x1..xn, _standard_counts_match, is also checked
-alone against conftest's count over the whole ambient ring."""
+reference: both must give the same report, check for check.  Its count
+of the standard terms in x1..xn, _standard_counts_match, walks columns
+s*x1^e, s in x2..xn; it is also checked alone against conftest's count
+over the whole ambient ring and, on ideals too large for that count,
+against conftest's reference_walk, the walk term by term that it
+replaced, with every claim moved by one up and down at each degree.
+Budget tests hold the witness of a degree-400 surface in P^3 to the
+cost of its columns, not of its terms."""
 
 import json
 import random
@@ -22,7 +27,7 @@ from minreg.functions import (HilbertFunction, min_scheme_regularity,
                               minimal_scheme_function, parse_hilbert_function)
 from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
 
-from conftest import (binomial_coeffs, ideal, reference_verify,
+from conftest import (binomial_coeffs, reference_verify, reference_walk,
                       standard_counts, sweep_classes)
 
 KINDS = ("stored", "drop", "raise", "value", "regularity")
@@ -196,23 +201,32 @@ def assert_walk_matches_the_count(J):
     return counts
 
 
-def raised(term, i, j):
-    return term[:i] + (term[i] - 1,) + term[i + 1:j] + (term[j] + 1,) \
-        + term[j + 1:]
+def raised(term, i):
+    """The adjacent raising x_i -> x_{i+1} of a term."""
+    return term[:i] + (term[i] - 1, term[i + 1] + 1) + term[i + 2:]
 
 
 def saturated_stable_ideal(nvars, terms):
     """The ideal generated by the raising closure of x0-free terms, which
-    is strongly stable and, with no x0 in its generators, saturated."""
-    closed, queue = set(), list(terms)
-    while queue:
-        term = queue.pop()
-        if term not in closed:
-            closed.add(term)
-            queue.extend(raised(term, i, j) for i in range(nvars) if term[i]
-                         for j in range(i + 1, nvars))
-    return ideal(nvars, *(c for c in closed if not any(
-        g != c and all(a <= b for a, b in zip(g, c)) for g in closed)))
+    is strongly stable and, with no x0 in its generators, saturated.  Its
+    minimal generators are found degree by degree: the degree-d terms
+    that the adjacent raisings reach from the given ones, less the
+    multiples of the x0-free slice of degree d - 1, which is closed under
+    raisings, and so are its multiples."""
+    gens, below = [], set()
+    for d in range(max(map(sum, terms), default=-1) + 1):
+        above = {term[:i] + (term[i] + 1,) + term[i + 1:]
+                 for term in below for i in range(1, nvars)}
+        new, queue = set(), [term for term in terms if sum(term) == d]
+        while queue:
+            term = queue.pop()
+            if term not in new and term not in above:
+                new.add(term)
+                queue.extend(raised(term, i) for i in range(1, nvars - 1)
+                             if term[i])
+        gens.extend(new)
+        below = above | new
+    return StronglyStableIdeal(nvars, frozenset(gens))
 
 
 x0_free_terms = st.integers(1, 4).flatmap(lambda n: st.tuples(
@@ -227,6 +241,17 @@ def test_walk_matches_the_ambient_count_on_random_ideals(data):
     assert_walk_matches_the_count(saturated_stable_ideal(nvars, terms))
 
 
+@settings(max_examples=40, deadline=None)
+@given(x0_free_terms)
+def test_walk_matches_the_ambient_count_on_raw_generators(data):
+    # The walk relies on saturation alone: x0-free generators that need
+    # be neither strongly stable nor minimal, such as x1*x3 in x0..x3,
+    # whose column x2*x3*x1^e ends at e = 1 through (x2*x3)/x2 = x3 only,
+    # or x1*x2 beside x1^2*x2, which share the column of x2.
+    nvars, terms = data
+    assert_walk_matches_the_count(StronglyStableIdeal(nvars, frozenset(terms)))
+
+
 def test_walk_matches_the_ambient_count_on_the_sweep():
     for n, payload in enumerate(sweep_certificates()):
         cert = certificate_from_dict(payload)
@@ -235,13 +260,77 @@ def test_walk_matches_the_ambient_count_on_the_sweep():
                           for t in range(len(counts))], n
 
 
+def assert_walk_matches_the_reference(J, claim, limit):
+    """The column walk and conftest's walk term by term give the same
+    answer on a claim and on every copy of it with one value moved by one
+    up or down, up to degree limit; the answer on the claim itself is
+    returned."""
+    values = [claim(t) for t in range(limit + 1)]
+    gens, w = packed(J, limit)
+    ok = _standard_counts_match(gens, w, J.nvars, values.__getitem__, limit)
+    assert ok == reference_walk(gens, w, J.nvars, values.__getitem__, limit)
+    for t in range(limit + 1):
+        for step in (1, -1):
+            moved = values[:]
+            moved[t] += step
+            assert _standard_counts_match(
+                gens, w, J.nvars, moved.__getitem__, limit) \
+                == reference_walk(gens, w, J.nvars, moved.__getitem__,
+                                  limit), (t, step)
+    return ok
+
+
+def capped(exponents, degree):
+    """The exponents, each cut down so that their sum is at most degree."""
+    out = []
+    for e in exponents:
+        out.append(min(e, degree - sum(out)))
+    return tuple(out)
+
+
+# Up to 7 variables and exponents up to 6, of degree at most 8, where
+# counting the ambient ring degree by degree, as above, takes too long.
+wide_terms = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(0, 6), min_size=n - 1,
+                                  max_size=n - 1).map(
+        lambda e: (0,) + capped(e, 8)), max_size=4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_terms)
+def test_walk_matches_the_reference_on_random_ideals(data):
+    nvars, terms = data
+    J = saturated_stable_ideal(nvars, terms)
+    f = J.hilbert_function()
+    assert verify_witness(WitnessCertificate(J, f, J.regularity, ())).ok
+    assert assert_walk_matches_the_reference(J, f, J.regularity + 3)
+
+
+def test_walk_matches_the_reference_on_the_tampered_sweep():
+    # Tampered certificates need not be sound, nor x0-free: the two walks
+    # must still agree, on the generators as they stand.
+    rng = random.Random(0)
+    for n, payload in enumerate(sweep_certificates()):
+        for kind in KINDS:
+            cert = certificate_from_dict(
+                payload if kind == "stored" else tampered(rng, payload, kind))
+            ok = assert_walk_matches_the_reference(
+                cert.ideal, cert.hilbert_function, cert.regularity + 3)
+            assert ok or kind != "stored", n
+
+
 def test_walk_edge_cases():
     # One variable: the zero ideal (x0 alone is standard) and the unit
-    # ideal; the unit ideal in three variables; a power x1^5 with x2.
+    # ideal; the unit ideal in three variables; a power x1^5 with x2; and
+    # x1*x2 beside its multiples x1^2*x2 and x1^3*x2, whose column of x2
+    # is as short as the least of them makes it.
     for J in (StronglyStableIdeal(1, frozenset()),
               StronglyStableIdeal(1, frozenset({(0,)})),
               StronglyStableIdeal(3, frozenset({(0, 0, 0)})),
-              _power_and_tops(3, 5)):
+              _power_and_tops(3, 5),
+              StronglyStableIdeal(3, frozenset({(0, 1, 1), (0, 3, 1)})),
+              StronglyStableIdeal(3, frozenset({(0, e, 1)
+                                                for e in (1, 2, 3)}))):
         assert_walk_matches_the_count(J)
     # A claim right up to degree t and one too high from t + 1 on: its
     # first difference is wrong at t + 1 alone.
@@ -324,3 +413,31 @@ def test_zero_ideal_in_many_variables_is_refused_at_once(tmp_path, capsys):
     assert code == 1
     assert "hilbert function by slice formulas: FAILED" in \
         capsys.readouterr().out
+
+
+def test_degree_400_surface_verifies_by_its_columns():
+    # (x3^400) in 4 variables, the witness of 200z^2-79200z+10507400: about
+    # 11 million standard terms in x1, x2, x3 up to degree 403, walked one
+    # by one in 16 s, but about 82,000 columns s*x1^e, s in x2, x3.
+    J = StronglyStableIdeal(4, frozenset({(0, 0, 0, 400)}))
+    f = J.hilbert_function()
+    with budget(2):
+        report = verify_witness(WitnessCertificate(J, f, 400, ()))
+    assert report.ok
+    # The last prefix value moved by one: the slice formulas refuse it
+    # too, so the walk is also asked alone, which must reach degree 396.
+    last = len(f.prefix) - 1
+    moved = HilbertFunction(f.prefix[:last] + (f.prefix[last] + 1,), f.tail)
+    with budget(2):
+        report = verify_witness(WitnessCertificate(J, moved, 400, ()))
+        walked = _standard_counts_match(*packed(J, 403), 4, moved, 403)
+    assert report.failures() == ("hilbert function by slice formulas",
+                                 "hilbert function by enumeration")
+    assert not walked
+
+
+def test_degree_400_surface_witness_ends_in_time(capsys):
+    with budget(5):
+        code = main(["witness", "200z^2-79200z+10507400", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["regularity"] == 400
