@@ -15,8 +15,8 @@ from .constructions import (VerificationReport, WitnessCertificate,
                             witness_min_reg)
 from .errors import (AmbientTooSmall, DomainError, EmptyClass, InputError,
                      InternalInconsistency, LinearVariety, MinregError,
-                     NegativeDerivative, NotAdmissible, NotSaturated,
-                     NotSchemeHF, ParseError, RhoTooSmall, TooManyDigits,
+                     NegativeDerivative, NotAdmissible, NotSchemeHF,
+                     ParseError, RhoTooSmall, TooManyDigits,
                      VerificationFailure)
 from .functions import (HilbertFunction, is_admissible_function,
                         is_scheme_function, min_function_regularity,
@@ -42,7 +42,6 @@ __all__ = [
     "MinregError",
     "NegativeDerivative",
     "NotAdmissible",
-    "NotSaturated",
     "NotSchemeHF",
     "ParseError",
     "RegularityReport",

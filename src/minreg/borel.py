@@ -9,9 +9,8 @@ monomial ideal whose every slice is Borel is strongly stable.
 The least variable x0 plays the role of the saturation variable: a
 saturated strongly stable ideal has x0-free minimal generators, and the
 maximal degree of the minimal generators equals the Castelnuovo-Mumford
-regularity.  The Hilbert function of the quotient is read off the
-generators: each member is g*w for exactly one minimal generator g and a
-term w in x0..x_{min_index(g)} (Eliahou-Kervaire).
+regularity.  constructions.verify_witness reads both facts, and the
+Hilbert function of the quotient, off the generators itself.
 
 A degree-s slice is split into height classes (by x0-exponent) and
 growth classes (by least variable present).  A growth-height-lexicographic
@@ -33,26 +32,12 @@ constructions.verify_witness.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from itertools import accumulate
 
 from .binomials import binom, plus_plus
-from .errors import InternalInconsistency, NotSaturated
+from .errors import InternalInconsistency
 from .functions import HilbertFunction
-from .polynomials import quotient_tail, slice_growth
-
-def min_index(term):
-    """Index of the least variable dividing the term; None for the unit."""
-    for i, e in enumerate(term):
-        if e > 0:
-            return i
-    return None
-
-
-def ek_index(term):
-    """Eliahou-Kervaire index: min_index, or n for the unit term."""
-    i = min_index(term)
-    return len(term) - 1 if i is None else i
+from .polynomials import slice_growth
 
 
 def deglex_key(term):
@@ -145,34 +130,8 @@ class StronglyStableIdeal:
     def __hash__(self):
         return hash((self.nvars, self.generators))
 
-    @property
-    def regularity(self) -> int:
-        """Maximal degree of the minimal generators (0 for the zero ideal)."""
-        return max((sum(g) for g in self.generators), default=0)
-
-    @property
-    def is_saturated(self) -> bool:
-        return all(g[0] == 0 for g in self.generators)
-
     def sorted_generators(self):
         return sorted(self.generators, key=deglex_key)
-
-    def hilbert_function(self) -> HilbertFunction:
-        """Hilbert function of the saturated quotient: a generator of
-        degree d and ek_index i has C(t-d+i, i) multiples g*w of degree t,
-        so h(t) = C(t+n, n) - the sum of those, and quotient_tail sums
-        the same binomials as polynomials."""
-        if not self.is_saturated:
-            raise NotSaturated("saturate before asking for the"
-                               " Hilbert function")
-        classes = Counter((ek_index(g), sum(g))
-                          for g in self.generators)
-        prefix = [basis_size(self.nvars, t)
-                  - sum(count * basis_size(i + 1, t - d)
-                        for (i, d), count in classes.items())
-                  for t in range(self.regularity)]
-        return HilbertFunction(tuple(prefix),
-                               quotient_tail(classes, self.nvars))
 
     def __str__(self):
         inside = ", ".join(term_string(g) for g in self.sorted_generators())

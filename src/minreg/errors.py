@@ -54,10 +54,6 @@ class RhoTooSmall(DomainError):
     """Requested regularity is below the minimum for this Hilbert polynomial."""
 
 
-class NotSaturated(DomainError):
-    """Operation requires a saturated ideal."""
-
-
 class EmptyClass(DomainError):
     """No scheme with the given Hilbert polynomial and regularity exists."""
 

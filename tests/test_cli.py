@@ -629,9 +629,13 @@ def test_verify_rejects_malformed_documents(tmp_path, capsys):
     for document in (line_certificate(ideal={"vars": 0}),
                      line_certificate(ideal={"generators": [[0, 1.5]]}),
                      line_certificate(ideal={"generators": [[0, True]]}),
-                     line_certificate(regularity=1.9)):
+                     line_certificate(regularity=1.9),
+                     line_certificate(ideal={"generators": [[0, 1], [0, 1]]})):
         path.write_text(json.dumps(document))
         assert run(capsys, "verify", str(path))[0] == 2, document
+    # a generator listed twice is named, not folded into one
+    assert "generator [0, 1] is listed twice" in run(capsys, "verify",
+                                                      str(path))[2]
 
 
 def test_verify_refuses_a_false_regularity_at_once(tmp_path, capsys):

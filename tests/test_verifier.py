@@ -5,8 +5,10 @@ s*x1^e, s in x2..xn; it is also checked alone against conftest's count
 over the whole ambient ring and, on ideals too large for that count,
 against conftest's reference_walk, the walk term by term that it
 replaced, with every claim moved by one up and down at each degree.
-Budget tests hold the witness of a degree-400 surface in P^3 to the
-cost of its columns, not of its terms."""
+Its "slice formulas" function, read off its own table of generators,
+must equal conftest's hilbert_function.  Budget tests hold the witness
+of a degree-400 surface in P^3 to the cost of its columns, not of its
+terms."""
 
 import json
 import random
@@ -27,8 +29,9 @@ from minreg.functions import (HilbertFunction, min_scheme_regularity,
                               minimal_scheme_function, parse_hilbert_function)
 from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
 
-from conftest import (binomial_coeffs, reference_verify, reference_walk,
-                      standard_counts, sweep_classes)
+from conftest import (binomial_coeffs, hilbert_function, reference_verify,
+                      reference_walk, regularity, standard_counts,
+                      sweep_classes)
 
 KINDS = ("stored", "drop", "raise", "value", "regularity")
 
@@ -87,13 +90,13 @@ def test_verifier_matches_the_reference_on_random_generators(
     ideal = StronglyStableIdeal(nvars, frozenset(gens))
     claim = ONE
     probe = reference_verify(
-        WitnessCertificate(ideal, claim, ideal.regularity, ()))
+        WitnessCertificate(ideal, claim, regularity(ideal), ()))
     if all(passed for _, passed in probe.checks[:4]):
-        f = ideal.hilbert_function()
+        f = hilbert_function(ideal)
         claim = HilbertFunction(
             tuple(f(t) + (t == moved)
                   for t in range(max(f.regularity, moved + 1))), f.tail)
-    cert = WitnessCertificate(ideal, claim, ideal.regularity + extra, ())
+    cert = WitnessCertificate(ideal, claim, regularity(ideal) + extra, ())
     assert verify_witness(cert).checks == reference_verify(cert).checks
 
 
@@ -117,7 +120,7 @@ def test_verifier_at_the_packing_width_boundaries(nvars):
     # quotient, regularity and claim.
     for k in range(1, 41):
         ideal = _power_and_tops(nvars, k)
-        f = ideal.hilbert_function()
+        f = hilbert_function(ideal)
         last = max(f.regularity - 1, 0)
         moved = HilbertFunction(
             tuple(f(t) + (-1) ** k * (t == last) for t in range(last + 1)),
@@ -172,22 +175,22 @@ def test_verifier_at_the_guard_bits(k):
     for n, gens in enumerate(carried_ideals(k)):
         ideal = StronglyStableIdeal(3, frozenset(gens))
         probe = reference_verify(
-            WitnessCertificate(ideal, ONE, ideal.regularity, ()))
+            WitnessCertificate(ideal, ONE, regularity(ideal), ()))
         sound = all(passed for _, passed in probe.checks[:4])
-        claim = ideal.hilbert_function() if sound else ONE
-        for regularity in (ideal.regularity, 0):
-            cert = WitnessCertificate(ideal, claim, regularity, ())
+        claim = hilbert_function(ideal) if sound else ONE
+        for claimed in (regularity(ideal), 0):
+            cert = WitnessCertificate(ideal, claim, claimed, ())
             report = verify_witness(cert)
             assert report.checks == reference_verify(cert).checks, \
-                (k, n, regularity)
-            assert report.ok == (sound and regularity > 0), (k, n)
+                (k, n, claimed)
+            assert report.ok == (sound and claimed > 0), (k, n)
 
 
 def assert_walk_matches_the_count(J):
     """The walk accepts J's own counts up to regularity + 3, counted over
     the whole ambient ring, and refuses them moved by one up or down at
     any one degree."""
-    limit = J.regularity + 3
+    limit = regularity(J) + 3
     counts = list(standard_counts(J, limit + 1))
     assert _standard_counts_match(*packed(J, limit), J.nvars,
                                   counts.__getitem__, limit)
@@ -239,6 +242,33 @@ x0_free_terms = st.integers(1, 4).flatmap(lambda n: st.tuples(
 def test_walk_matches_the_ambient_count_on_random_ideals(data):
     nvars, terms = data
     assert_walk_matches_the_count(saturated_stable_ideal(nvars, terms))
+
+
+def assert_slice_formulas_match_the_reference(J):
+    """verify_witness compares its slice-formula function with the claim
+    by ==, so a certificate that claims conftest's hilbert_function(J) at
+    regularity(J) passes that check exactly when the two are equal."""
+    report = verify_witness(
+        WitnessCertificate(J, hilbert_function(J), regularity(J), ()))
+    assert dict(report.checks)["hilbert function by slice formulas"], J
+    assert report.ok, J
+
+
+@settings(max_examples=60, deadline=None)
+@given(x0_free_terms)
+def test_slice_formulas_match_the_reference_on_random_ideals(data):
+    nvars, terms = data
+    assert_slice_formulas_match_the_reference(
+        saturated_stable_ideal(nvars, terms))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_slice_formulas_of_the_zero_and_unit_ideals(nvars):
+    # One variable has no other saturated ideals; the unit is the one
+    # generator with no least variable, counted in the class of x_n.
+    for gens in (frozenset(), frozenset({(0,) * nvars})):
+        assert_slice_formulas_match_the_reference(
+            StronglyStableIdeal(nvars, gens))
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,9 +331,9 @@ wide_terms = st.integers(1, 7).flatmap(lambda n: st.tuples(
 def test_walk_matches_the_reference_on_random_ideals(data):
     nvars, terms = data
     J = saturated_stable_ideal(nvars, terms)
-    f = J.hilbert_function()
-    assert verify_witness(WitnessCertificate(J, f, J.regularity, ())).ok
-    assert assert_walk_matches_the_reference(J, f, J.regularity + 3)
+    f = hilbert_function(J)
+    assert verify_witness(WitnessCertificate(J, f, regularity(J), ())).ok
+    assert assert_walk_matches_the_reference(J, f, regularity(J) + 3)
 
 
 def test_walk_matches_the_reference_on_the_tampered_sweep():
@@ -392,9 +422,9 @@ def test_hilbert_function_is_read_off_the_generators():
     # The quotient by (x11, x10^30) in 12 variables: counting its degree-30
     # slice term by term meant C(40, 11), about 2.3 * 10^9, terms.
     x11, x10_30 = (0,) * 11 + (1,), (0,) * 10 + (30, 0)
+    J = StronglyStableIdeal(12, frozenset({x11, x10_30}))
     with budget(2):
-        f = StronglyStableIdeal(12, frozenset({x11, x10_30})
-                                ).hilbert_function()
+        f = hilbert_function(J)
     assert f.prefix == tuple(binom(t + 10, 10) for t in range(20))
     assert f.tail == polynomial_from_coefficients(
         a - b for a, b in zip(binomial_coeffs(10, 10),
@@ -420,7 +450,7 @@ def test_degree_400_surface_verifies_by_its_columns():
     # 11 million standard terms in x1, x2, x3 up to degree 403, walked one
     # by one in 16 s, but about 82,000 columns s*x1^e, s in x2, x3.
     J = StronglyStableIdeal(4, frozenset({(0, 0, 0, 400)}))
-    f = J.hilbert_function()
+    f = hilbert_function(J)
     with budget(2):
         report = verify_witness(WitnessCertificate(J, f, 400, ()))
     assert report.ok
