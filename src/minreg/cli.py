@@ -66,12 +66,15 @@ def _write(value, newline: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     inner = newline + "  "
-    if isinstance(value, dict):
-        items = [_quote(key) + ": " + _write(item, inner)
-                 for key, item in sorted(value.items())]
-    elif isinstance(value, list):  # ints inline: a certificate holds millions
-        items = [int.__repr__(item) if type(item) is int
-                 else _write(item, inner) for item in value]
+    if isinstance(value, dict):  # str and int leaves inline, for speed
+        items = [_quote(key) + ": " + (
+            _quote(item) if type(item) is str else int.__repr__(item)
+            if type(item) is int else _write(item, inner))
+            for key, item in sorted(value.items())]
+    elif isinstance(value, list):  # a certificate holds millions of ints
+        items = [int.__repr__(item) if type(item) is int else _quote(item)
+                 if type(item) is str else _write(item, inner)
+                 for item in value]
     else:
         raise TypeError("Object of type %s is not JSON serializable"
                         % type(value).__name__)
@@ -205,6 +208,7 @@ def cmd_minreg(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    descent = None
     if args.hf is not None:
         u = parse_hilbert_function(args.hf)
         if args.polynomial is not None:
@@ -213,10 +217,11 @@ def cmd_witness(args) -> int:
                 raise InputError("the tail of %s is not %s" % (u, p))
     elif args.polynomial is not None:
         p = parse_polynomial(args.polynomial)
-        u = minimal_scheme_function(p, min_scheme_regularity(p))
+        descent = min_regularity(p)  # which tests u, its minimal function
+        u = minimal_function(p, descent.rho_used)
     else:
         raise InputError("give a polynomial or --hf")
-    cert = witness_min_reg(u)
+    cert = witness_min_reg(u, descent)
     document = _document(cert.as_dict())
     if args.output:
         try:
@@ -326,6 +331,8 @@ _TOP = (None, "Minimal Castelnuovo-Mumford regularity of projective schemes"
         " with a given\nHilbert polynomial, with strongly stable witness"
         " ideals.", "subcommand", True, ())
 _NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's negative numbers
+_FLAGS = {name: {flag: o for o in (_HELP, _JSON) + own for flag in o[0]}
+          for name, (_, _, _, _, own) in [(None, _TOP), *COMMANDS.items()]}
 
 
 def _dest(option) -> str:
@@ -406,7 +413,7 @@ def _walk(name, words, fields):
     every word after it.  Returns the words left unrecognized, or None
     once -h has printed the help; UsageError on a refused line."""
     _, _, positional, required, own = COMMANDS.get(name, _TOP)
-    flags = {flag: o for o in (_HELP, _JSON) + own for flag in o[0]}
+    flags = _FLAGS[name]
 
     def refuse(message, option=None):
         if option:

@@ -268,7 +268,7 @@ def verify_witness(certificate: WitnessCertificate) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def witness_min_reg(u: HilbertFunction) -> WitnessCertificate:
+def witness_min_reg(u: HilbertFunction, descent=None) -> WitnessCertificate:
     """A verified ideal whose quotient has Hilbert function u and the least
     regularity among all subschemes with that function.
 
@@ -277,9 +277,9 @@ def witness_min_reg(u: HilbertFunction) -> WitnessCertificate:
     derivative tower, and each lifting's output is the ghl slice of its
     target at its working degree: the tail fixes the growth classes and
     the function the height classes.  So the witness is ghl_ideal(u, m,
-    u(1)), built in one step.  Its certificate is verified once, as it
-    leaves; the descent refuses a u outside its domain."""
-    descent = min_regularity_of_function(u)
+    u(1)), built in one step, and verified once, as it leaves.  The
+    descent refuses a u outside its domain; one passed in is trusted."""
+    descent = descent or min_regularity_of_function(u)
     m, nvars = descent.regularity, u(1)
     log = tuple("descent at %s: rho_used %d, rho_fit %s, regularity %d"
                 % (row.polynomial, row.rho_used,

@@ -217,7 +217,12 @@ def min_scheme_regularity(p: AdmissiblePolynomial) -> int:
     Found as one less than the first t where minimal_function(dp, t) sums
     below t to at most p(t - 1).  That function is lowered_chain(dp(e), e)
     and then dp, e = min(t, r - 1), r dp's Gotzmann number; dp's part sums
-    to p(t - 1) - p(e - 1), so the chain's sum is held to p(e - 1)."""
+    to p(t - 1) - p(e - 1), so the chain's sum is held to p(e - 1).  The
+    test is monotone in t, so a bisection would find t too: the minimal
+    functions f_t = minimal_function(dp, t) fall pointwise as t grows,
+    so the sum S(t) of f_t below t has S(t + 1) <= S(t) + f_t(t) = S(t)
+    + dp(t), while p(t) = p(t - 1) + dp(t); from t = r - 1 on, e and the
+    test stay put.  The skip at t = 1 when p(0) != 1 is a rule apart."""
     if p.degree == 0:
         return 0 if p(0) == 1 else 1
     dp = p.derivative()

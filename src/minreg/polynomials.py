@@ -17,21 +17,23 @@ integer valued iff its coordinates are integers, and everything the
 package does with a polynomial is integer arithmetic on them.  The zero
 polynomial is ZERO, the empty writing (r = 0, no coordinates): it is the
 tail of an Artinian quotient's Hilbert function and the derivative of a
-constant, so derivative() always returns a polynomial.  Text is
-integer arithmetic too: a parsed polynomial is its integer monomial
-numerators over one common denominator, and the printer reduces each
-numerator over d! by a gcd.  Fraction is imported only inside the two
-readers outside the term grammar: the bracket list `[c_k,...,c_0]`, whose
-entries take Fraction's grammar (`1.5`, `2e1`), and a library coefficient
-with no numerator and denominator, such as a float.
+constant, so derivative() always returns a polynomial.  Text is integer
+arithmetic too: the parser reads monomial numerators over a common
+denominator, a cached integer matrix per degree maps them to the
+coordinates, and the one printer reduces each over that denominator, or
+over d! for a built polynomial.  Fraction is imported only inside the
+two readers outside the term grammar: the bracket list `[c_k,...,c_0]`,
+whose entries take Fraction's grammar (`1.5`, `2e1`), and a library
+coefficient with no numerator and denominator, such as a float.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import cached_property
+from functools import lru_cache
 from itertools import accumulate, zip_longest
+from operator import mul
 
 from .errors import LinearVariety, NotAdmissible, ParseError
 
@@ -51,8 +53,7 @@ def _gotzmann_runs(coordinates):
     position + count - 1, have the coordinate (-1)^m C(s, m) on B_(d-m),
     which sum to (-1)^m [C(position + count, m + 1) - C(position, m + 1)].
     """
-    runs = []
-    position = 0
+    runs, position = [], 0
     rest = list(coordinates)
     while rest:
         d = len(rest) - 1
@@ -64,12 +65,14 @@ def _gotzmann_runs(coordinates):
             raise NotAdmissible(
                 "degree %d needs a positive integer number of summands,"
                 " got %d" % (d, count))
-        for m in range(min(d, position + count - 1) + 1):
+        for m in range(1, min(d, position + count - 1) + 1):
             rest[d - m] -= (-1) ** m * (math.comb(position + count, m + 1)
                                         - math.comb(position, m + 1))
         runs.append((d, count))
         position += count
-        rest = list(_trim(rest))
+        del rest[-1]  # the term m = 0 clears it
+        while rest and not rest[-1]:
+            rest.pop()
     return tuple(runs)
 
 
@@ -77,10 +80,16 @@ class AdmissiblePolynomial:
     """A Hilbert polynomial, held by its integer coordinates in the basis
     C(z + k, k), k = 0..degree.  A trusted record: the builders here yield
     admissible polynomials, and outside input comes in through
-    polynomial_from_coefficients, which checks it."""
+    polynomial_from_coefficients, which checks it.  It keeps its runs,
+    text and derivative once built, and prints monomials, the parser's
+    (numerators, scale), if given."""
 
-    def __init__(self, coordinates: tuple):
+    __slots__ = ("coordinates", "_runs", "_text", "_derivative")
+
+    def __init__(self, coordinates: tuple, monomials=None):
         self.coordinates = coordinates
+        self._runs = self._derivative = None
+        self._text = monomials
 
     def __eq__(self, other):
         if type(other) is not AdmissiblePolynomial:
@@ -90,15 +99,17 @@ class AdmissiblePolynomial:
     def __hash__(self):
         return hash(self.coordinates)
 
-    @cached_property
+    @property
     def runs(self):
-        return _gotzmann_runs(self.coordinates)
+        if self._runs is None:
+            self._runs = _gotzmann_runs(self.coordinates)
+        return self._runs
 
     @property
     def degree(self) -> int:
         return len(self.coordinates) - 1
 
-    @cached_property
+    @property
     def gotzmann_number(self) -> int:
         return sum(count for _, count in self.runs)
 
@@ -114,8 +125,10 @@ class AdmissiblePolynomial:
 
     def derivative(self) -> AdmissiblePolynomial:
         """First difference p(z) - p(z - 1): ZERO for a constant and
-        for ZERO."""
-        return AdmissiblePolynomial(self.coordinates[1:])
+        for ZERO; kept once built."""
+        if self._derivative is None:
+            self._derivative = AdmissiblePolynomial(self.coordinates[1:])
+        return self._derivative
 
     def at_least_from(self, other: AdmissiblePolynomial, start: int) -> bool:
         """True when p(t) >= other(t) at every integer t >= start >= 0.
@@ -149,26 +162,27 @@ class AdmissiblePolynomial:
         return True
 
     def __str__(self):
-        return self._text
-
-    @cached_property
-    def _text(self):
-        """The monomial coefficients of d! p, summed as integers (d!
-        C(z + k, k) is d!/k! times the product of z + 1, ..., z + k), each
-        printed over d! in lowest terms."""
-        scale = math.factorial(max(self.degree, 0))
-        numerators = [0] * len(self.coordinates)
-        product = [1]
-        for k, a in enumerate(self.coordinates):
-            if k:
-                product = [k * c + b
-                           for c, b in zip(product + [0], [0] + product)]
-            if a:
-                weight = a * (scale // math.factorial(k))
-                for exp, c in enumerate(product):
-                    numerators[exp] += weight * c
+        """Each monomial coefficient in lowest terms, kept once printed:
+        the parser's numerators over their scale, or those of d! p (d!
+        C(z + k, k) is d!/k! times the product of z + 1, ..., z + k)."""
+        if type(self._text) is str:
+            return self._text
+        if self._text is None:
+            scale = math.factorial(max(self.degree, 0))
+            numerators = [0] * len(self.coordinates)
+            product = [1]
+            for k, a in enumerate(self.coordinates):
+                if k:
+                    product = [k * c + b
+                               for c, b in zip(product + [0], [0] + product)]
+                if a:
+                    weight = a * (scale // math.factorial(k))
+                    for exp, c in enumerate(product):
+                        numerators[exp] += weight * c
+        else:
+            numerators, scale = self._text
         parts = []
-        for exp in range(self.degree, -1, -1):
+        for exp in range(len(numerators) - 1, -1, -1):
             n = numerators[exp]
             if n == 0:
                 continue
@@ -176,13 +190,10 @@ class AdmissiblePolynomial:
             num, den = abs(n) // g, scale // g
             mag = "%d" % num if den == 1 else "%d/%d" % (num, den)
             sign = "-" if n < 0 else ("+" if parts else "")
-            if exp == 0:
-                body = mag
-            else:
-                var = "z" if exp == 1 else "z^%d" % exp
-                body = var if mag == "1" else mag + var
-            parts.append(sign + body)
-        return "".join(parts) if parts else "0"
+            var = "" if exp == 0 else "z" if exp == 1 else "z^%d" % exp
+            parts.append(sign + (var if var and mag == "1" else mag + var))
+        self._text = "".join(parts) if parts else "0"
+        return self._text
 
     def __repr__(self):
         return "AdmissiblePolynomial(%r)" % str(self)
@@ -317,34 +328,36 @@ def polynomial_from_coefficients(coeffs) -> AdmissiblePolynomial:
     return _from_numerators(*_over_common_denominator(terms))
 
 
-def _value(numerators, x: int) -> int:
-    """sum_i numerators[i] x^i, by Horner's rule."""
-    value = 0
-    for c in reversed(numerators):
-        value = value * x + c
-    return value
+@lru_cache(maxsize=None)
+def _coordinate_rows(n: int):
+    """Rows k < n of M[k][i] = sum_x (-1)^x C(k, x) (-(1 + x))^i, i >= k
+    (0 below), column by column: M[k][i + 1] = k M[k - 1][i] - (k + 1)
+    M[k][i], as M[k][i] = (-1)^(i + k) k! S(i + 1, k + 1), S Stirling's."""
+    columns = [[1]]
+    while len(columns) < n:
+        c = columns[-1]
+        columns.append([k * a - (k + 1) * b
+                        for k, (a, b) in enumerate(zip([0] + c, c + [0]))])
+    return tuple(tuple(c[k] for c in columns[k:]) for k in range(n))
 
 
 def _from_numerators(numerators, scale: int) -> AdmissiblePolynomial:
-    """The polynomial with monomial coefficients numerators[i] / scale.
+    """The polynomial with coefficients numerators[i] / scale, and its text.
 
-    L a_k, L = scale, are the differences nabla^k (L p) at -1 of the
-    integer values L p(-1), ..., L p(-(d + 1)), so p is integer valued
-    iff L divides each of them; otherwise the first t >= 0 with L p(t)
-    not divisible by L, at most d, is named.
+    L a_k, L = scale, is (nabla^k L p)(-1) = sum_i M[k][i] numerators[i],
+    so p is integer valued iff L divides each of them; otherwise the
+    first t >= 0 with L p(t) not divisible by L, at most d, is named.
     """
     if not numerators:
         raise NotAdmissible("the zero polynomial has no gotzmann writing")
-    level = [_value(numerators, x) for x in range(-1, -len(numerators) - 1, -1)]
-    scaled = []
-    while level:
-        scaled.append(level[0])
-        level = [a - b for a, b in zip(level, level[1:])]
-    if any(a % scale for a in scaled):
-        t = next(t for t in range(len(numerators))
-                 if _value(numerators, t) % scale)
+    scaled = [sum(map(mul, row, numerators[k:]))
+              for k, row in enumerate(_coordinate_rows(len(numerators)))]
+    if scale != 1 and any(a % scale for a in scaled):
+        lp = AdmissiblePolynomial(tuple(scaled))
+        t = next(t for t in range(len(numerators)) if lp(t) % scale)
         raise NotAdmissible("not integer valued at z = %d" % t)
-    p = AdmissiblePolynomial(tuple(a // scale for a in scaled))
+    p = AdmissiblePolynomial(tuple(a // scale for a in scaled),
+                             (numerators, scale))
     p.runs  # raises NotAdmissible when there is no Gotzmann writing
     return p
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import minreg.cli
+import minreg.functions
 import minreg.regularity
 from conftest import from_writing, reference_parser, writings
 from minreg.cli import UsageError, main
@@ -563,6 +564,29 @@ def test_witness_refuses_what_minreg_refuses(capsys, text, flags):
     refused = run(capsys, "witness", "--hf", text, *flags)
     assert refused == run(capsys, "minreg", "--hf", text, *flags)
     assert refused[0] == 1
+
+
+def test_witness_of_a_polynomial_tests_its_function_once(capsys,
+                                                        monkeypatch):
+    """`witness p` takes its descent from min_regularity, in which the
+    minimal scheme function passes its scheme test, and hands it to the
+    builder without a second test; `witness --hf` keeps its own test."""
+    tested = []
+
+    def counted(h, real=minreg.functions.is_scheme_function):
+        tested.append(str(h))
+        return real(h)
+
+    for module in (minreg.functions, minreg.regularity):
+        monkeypatch.setattr(module, "is_scheme_function", counted)
+    minreg.regularity.min_regularity.cache_clear()
+    code, out, _ = run(capsys, "witness", "9z-7", "--json")
+    assert code == 0
+    assert tested == [json.loads(out)["hilbert_function"]]
+    tested.clear()
+    code, out, _ = run(capsys, "witness", "--hf", "1,4 ; 5z-3", "--json")
+    assert code == 1 and tested == ["1,4 ; 5z-3"]
+    assert json.loads(out)["error"]["code"] == "NotSchemeHF"
 
 
 def test_witness_and_verify_through_files(tmp_path, capsys):

@@ -4,14 +4,16 @@ The regularity minima are checked against naive oracles that scan the
 whole valid range (too slow for real inputs with large Gotzmann numbers,
 but fine as an independent cross-check on small ones), and minimality of
 the constructed functions is certified by per-point lowering probes.
+Both steps of the proof that the scheme-minimum scan is monotone in t
+are checked on random writings.
 """
 
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
-from minreg.binomials import plus_plus
+from minreg.binomials import lowered_chain, plus_plus
 from minreg.borel import StronglyStableIdeal
 from minreg.errors import (InternalInconsistency, NegativeDerivative,
                            NotAdmissible, ParseError, RhoTooSmall)
@@ -566,3 +568,37 @@ def test_scans_match_their_references_on_the_fixtures(text):
 def test_scans_match_their_references_on_random_writings(writing):
     _scans_match_their_references(polynomial_from_coefficients(
         from_writing(writing)))
+
+
+# ---------------------------------------------------------------------------
+# the scheme-minimum scan is monotone, as min_scheme_regularity proves
+
+
+@settings(max_examples=150, deadline=None)
+@given(writings)
+def test_minimal_functions_fall_as_the_regularity_grows(writing):
+    """minimal_function(q, t + 1) <= minimal_function(q, t) pointwise,
+    from the least function regularity of q to past its Gotzmann
+    number."""
+    q = polynomial_from_coefficients(from_writing(writing))
+    stop = q.gotzmann_number + 2
+    functions = [minimal_function(q, t)
+                 for t in range(min_function_regularity(q), stop + 1)]
+    for f, g in zip(functions, functions[1:]):
+        assert all(g(s) <= f(s) for s in range(stop + 2)), (f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(writings)
+def test_the_scheme_minimum_test_stays_true_once_true(writing):
+    """Once the chain's sum is held to p(e - 1) at t, it is at t + 1,
+    over every t the scan of min_scheme_regularity may visit and two
+    more."""
+    p = polynomial_from_coefficients(from_writing(writing))
+    assume(p.degree > 0)
+    dp = p.derivative()
+    last = max(dp.gotzmann_number - 1, 0)
+    held = [sum(lowered_chain(dp(e), e)) <= p(e - 1)
+            for e in (min(t, last) for t in range(
+                max(min_function_regularity(dp), 1), p.gotzmann_number + 4))]
+    assert held == sorted(held), held

@@ -4,14 +4,18 @@ Small decompositions are verified against a naive summand-by-summand
 reconstruction (the defining identity), large ones through the structural
 fact that differencing shifts every summand down one degree.  Random
 Gotzmann writings check the coordinates against the printed coefficients,
-the printer is checked against the Fraction printer in conftest, and the
-nonnegativity scan is checked against the monomial-basis
-reference scan in conftest.  slice_growth is checked as the inverse of
-quotient_tail, at a single degree, on every small growth vector.
+the printer is checked against the Fraction printer in conftest, the
+text a parsed polynomial takes from the parser against both printers on
+many spellings of one polynomial, the parser's coordinate matrix against
+conftest's Horner's rule and differences, and the nonnegativity scan is
+checked against the monomial-basis reference scan in conftest.
+slice_growth is checked as the inverse of quotient_tail, at a single
+degree, on every small growth vector.
 """
 
 from fractions import Fraction
 from itertools import groupby, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,9 +27,12 @@ from minreg.polynomials import (ZERO, AdmissiblePolynomial,
                                 parse_tail, polynomial_from_coefficients,
                                 quotient_tail, slice_growth)
 
+from minreg.polynomials import _coordinate_rows, _from_numerators
+
 from conftest import (binomial_coeffs, from_writing, interpolate, poly_add,
                       poly_eval, poly_nonnegative_from, poly_scale, poly_sub,
-                      reference_polynomial, reference_str, writings)
+                      reference_from_numerators, reference_polynomial,
+                      reference_str, writings)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +310,132 @@ def test_integer_route_matches_the_fraction_route(pairs):
     assert parse_tail(str(p)) == p
     if p.gotzmann_number >= 2:
         assert parse_polynomial(str(p)) == p
+
+
+def test_the_coordinate_matrix_is_its_definition():
+    for n in range(1, 13):
+        rows = _coordinate_rows(n)
+        assert len(rows) == n
+        for k, row in enumerate(rows):
+            assert row == tuple(
+                sum((-1) ** x * comb(k, x) * (-(1 + x)) ** i
+                    for x in range(k + 1)) for i in range(k, n))
+        assert all(sum((-1) ** x * comb(k, x) * (-(1 + x)) ** i
+                       for x in range(k + 1)) == 0
+                   for k in range(n) for i in range(k))
+
+
+def _numerator_outcome(numerators, scale):
+    """The coordinates Horner's rule and the differences give, with the
+    program's refusal when they are not integers or have no writing."""
+    try:
+        coordinates = reference_from_numerators(numerators, scale)
+        AdmissiblePolynomial(coordinates).runs
+        return coordinates
+    except NotAdmissible as exc:
+        return str(exc)
+
+
+numerator_lists = st.tuples(
+    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8).filter(
+        lambda ns: ns[-1] != 0).map(tuple),
+    st.integers(1, 5040))
+writing_numerators = writings.map(
+    lambda w: parse_coefficients(str(polynomial_from_coefficients(
+        from_writing(w)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(numerator_lists, writing_numerators))
+def test_the_matrix_matches_horner_and_differences(pair):
+    """Random integer numerators over a scale up to 7!, seldom integer
+    valued, and the parsed numerators of random Gotzmann writings: the
+    matrix gives the coordinates, or the refusal, of the route by
+    Horner's rule and a difference table."""
+    numerators, scale = pair
+    try:
+        outcome = _from_numerators(numerators, scale).coordinates
+    except NotAdmissible as exc:
+        outcome = str(exc)
+    assert outcome == _numerator_outcome(numerators, scale)
+
+
+def _numerals(c):
+    """Spellings of the rational c >= 0 that the bracket list reads:
+    n/d, unreduced 2n/2d, the integer itself, and a decimal."""
+    out = ["%d/%d" % (c.numerator, c.denominator),
+           "%d/%d" % (2 * c.numerator, 2 * c.denominator)]
+    if c.denominator == 1:
+        out.append("%d" % c)
+    for places in range(1, 6):
+        if (c * 10 ** places).denominator == 1:
+            digits = "%0*d" % (places + 1, c * 10 ** places)
+            out.append(digits[:-places] + "." + digits[-places:])
+            break
+    return out
+
+
+@st.composite
+def spellings(draw):
+    """A writing's ascending coefficients and a text of them: a bracket
+    list of fractions, integers and decimals, or a sum of terms in any
+    order, some split in two (z+z), with 0z^k tops, an optional leading
+    +, and spaces anywhere."""
+    coeffs = list(from_writing(draw(writings)))
+    tops = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        entries = [("-" if c < 0 else "") + draw(st.sampled_from(
+            _numerals(abs(c)))) for c in reversed(coeffs + [0] * tops)]
+        text = "[%s]" % ",".join(entries)
+    else:
+        terms = [(Fraction(0), len(coeffs) + j) for j in range(tops)]
+        for e, c in enumerate(coeffs):
+            if c and draw(st.booleans()):
+                part = Fraction(draw(st.integers(-9, 9)),
+                                draw(st.integers(1, 4)))
+                terms += [(part, e), (c - part, e)]
+            elif c:
+                terms.append((c, e))
+        pieces = []
+        for c, e in draw(st.permutations(terms)):
+            var = ("" if e == 0 else draw(st.sampled_from(["z", "z^1"]))
+                   if e == 1 else "z^%d" % e)
+            mag = abs(c)
+            num = ("%d" % mag if mag.denominator == 1
+                   else "%d/%d" % (mag.numerator, mag.denominator))
+            if mag == 1 and var and draw(st.booleans()):
+                num = ""
+            sign = "-" if c < 0 else "+"
+            if not pieces and sign == "+" and draw(st.booleans()):
+                sign = ""
+            pieces.append(sign + num + var)
+        text = "".join(pieces)
+    spaces = draw(st.lists(st.integers(0, len(text)), max_size=4))
+    for at in sorted(spaces, reverse=True):
+        text = text[:at] + " " + text[at:]
+    return coeffs, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(spellings())
+def test_parsed_text_is_the_coordinates_text(spelled):
+    """The text a parsed polynomial takes from the parser's numerators
+    is the Fraction printer's text and the text printed from its
+    coordinates alone, whatever the spelling."""
+    coeffs, text = spelled
+    assert _parsed(text) == tuple(coeffs)
+    p = parse_tail(text)
+    assert p == polynomial_from_coefficients(coeffs)
+    assert str(p) == reference_str(p) == str(AdmissiblePolynomial(
+        p.coordinates))
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("[1/2,3/2,1]", "1/2z^2+3/2z+1"), ("[0.5, 1.5, 1]", "1/2z^2+3/2z+1"),
+    ("[2.0,2]", "2z+2"), ("+ 3z + 0z^3 -1/2z^2 + 1/2z^2 + 3", "3z+3"),
+    ("z+z+2", "2z+2")])
+def test_parsed_text_of_some_spellings(text, expected):
+    assert str(parse_tail(text)) == expected
 
 
 # ---------------------------------------------------------------------------
