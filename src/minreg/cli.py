@@ -208,20 +208,18 @@ def cmd_minreg(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    descent = None
     if args.hf is not None:
         u = parse_hilbert_function(args.hf)
         if args.polynomial is not None:
             p = parse_polynomial(args.polynomial)
             if u.tail != p:
                 raise InputError("the tail of %s is not %s" % (u, p))
+        descent = min_regularity_of_function(u)
     elif args.polynomial is not None:
-        p = parse_polynomial(args.polynomial)
-        descent = min_regularity(p)  # which tests u, its minimal function
-        u = minimal_function(p, descent.rho_used)
+        descent = min_regularity(parse_polynomial(args.polynomial))
     else:
         raise InputError("give a polynomial or --hf")
-    cert = witness_min_reg(u, descent)
+    cert = witness_min_reg(descent)
     document = _document(cert.as_dict())
     if args.output:
         try:

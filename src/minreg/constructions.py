@@ -1,13 +1,14 @@
 """The witness builder, the certificate it returns, and its verifier.
 
-witness_min_reg builds a saturated strongly stable ideal whose quotient
-has a given Hilbert function u and the least regularity m among all
-subschemes with that function, the m that the descent of the regularity
-module computes.  The paper reaches that ideal step by step, by term
-removals, expanded liftings and ideal grafts; each lifting keeps the ghl
-slice of its target at its working degree, so the witness is one
-borel.ghl_ideal call on u at degree m, read off class sizes.  The tests
-keep the stepwise route as the reference it must agree with.
+witness_min_reg takes a descent report of the regularity module, which
+carries a Hilbert function u and the least regularity m among all
+subschemes with that function, and builds a saturated strongly stable
+ideal whose quotient has function u and regularity m.  The paper
+reaches that ideal step by step, by term removals, expanded liftings
+and ideal grafts; each lifting keeps the ghl slice of its target at its
+working degree, so the witness is one borel.ghl_ideal call on u at
+degree m, read off class sizes.  The tests keep the stepwise route as
+the reference it must agree with.
 
 The certificate is verified as it leaves: verify_witness is the one
 check on an ideal, which `minreg verify` runs too.  It packs each
@@ -32,7 +33,6 @@ from .borel import StronglyStableIdeal, ghl_ideal
 from .errors import InputError, VerificationFailure
 from .functions import HilbertFunction, parse_hilbert_function
 from .polynomials import quotient_tail
-from .regularity import min_regularity_of_function
 
 
 class WitnessCertificate(namedtuple("WitnessCertificate",
@@ -268,19 +268,19 @@ def verify_witness(certificate: WitnessCertificate) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def witness_min_reg(u: HilbertFunction, descent=None) -> WitnessCertificate:
-    """A verified ideal whose quotient has Hilbert function u and the least
-    regularity among all subschemes with that function.
+def witness_min_reg(descent) -> WitnessCertificate:
+    """A verified ideal whose quotient has the descent's Hilbert function u
+    and the least regularity m among all subschemes with that function.
 
-    The descent (regularity.min_regularity_of_function) gives that least
-    regularity m.  The paper reaches it by expanded liftings down the
-    derivative tower, and each lifting's output is the ghl slice of its
-    target at its working degree: the tail fixes the growth classes and
-    the function the height classes.  So the witness is ghl_ideal(u, m,
-    u(1)), built in one step, and verified once, as it leaves.  The
-    descent refuses a u outside its domain; one passed in is trusted."""
-    descent = descent or min_regularity_of_function(u)
-    m, nvars = descent.regularity, u(1)
+    The descent (a regularity.RegularityReport, from any of its four
+    queries) gives u and m.  The paper reaches m by expanded liftings
+    down the derivative tower, and each lifting's output is the ghl slice
+    of its target at its working degree: the tail fixes the growth
+    classes and the function the height classes.  So the witness is
+    ghl_ideal(u, m, u(1)), built in one step, and verified once, as it
+    leaves."""
+    u, m = descent.function, descent.regularity
+    nvars = u(1)
     log = tuple("descent at %s: rho_used %d, rho_fit %s, regularity %d"
                 % (row.polynomial, row.rho_used,
                    "-" if row.rho_fit is None else row.rho_fit,

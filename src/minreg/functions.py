@@ -272,17 +272,6 @@ def least_dominated_regularity(q: AdmissiblePolynomial, w: HilbertFunction,
         "no minimal function of %s fits below %s up to %d" % (q, w, cap))
 
 
-def descent_step(u: HilbertFunction):
-    """One level down the descent from a scheme function u whose tail has
-    positive degree: the least regularity fit, from the scheme minimum of
-    the tail's difference dp up to max(reg(u) + 1, that minimum), whose
-    minimal function of dp lies below the difference of u, and that
-    minimal function."""
-    dp = u.tail.derivative()
-    cap = max(u.regularity + 1, min_scheme_regularity(dp))
-    return least_dominated_regularity(dp, u.delta(), cap)
-
-
 def minimal_scheme_function(p: AdmissiblePolynomial, rho: int):
     """Pointwise least Hilbert function of a scheme with polynomial p and
     regularity exactly rho, or None when no such scheme exists.

@@ -27,9 +27,10 @@ from functools import lru_cache
 from .binomials import binom
 from .errors import (AmbientTooSmall, EmptyClass, InternalInconsistency,
                      LinearVariety, NotSchemeHF)
-from .functions import (HilbertFunction, descent_step, is_scheme_function,
-                        min_function_regularity, min_scheme_regularity,
-                        minimal_function, minimal_scheme_function)
+from .functions import (HilbertFunction, is_scheme_function,
+                        least_dominated_regularity, min_function_regularity,
+                        min_scheme_regularity, minimal_function,
+                        minimal_scheme_function)
 from .polynomials import AdmissiblePolynomial
 
 
@@ -43,7 +44,11 @@ class TraceRow(namedtuple("TraceRow", "polynomial gotzmann_number min_rho"
     __slots__ = ()
 
 
-class RegularityReport(namedtuple("RegularityReport", "rows")):
+class RegularityReport(namedtuple("RegularityReport", "function rows")):
+    """The descent from the scheme function `function`, one trace row a
+    level, the first row its own; `regularity` is the least regularity
+    among subschemes with that function."""
+
     __slots__ = ()
 
     @property
@@ -52,11 +57,11 @@ class RegularityReport(namedtuple("RegularityReport", "rows")):
 
     @property
     def polynomial(self) -> AdmissiblePolynomial:
-        return self.rows[0].polynomial
+        return self.function.tail
 
     @property
     def rho_used(self) -> int:
-        return self.rows[0].rho_used
+        return self.function.regularity
 
     def table_lines(self):
         header = ("polynomial", "gotzmann", "rho", "rho_scheme",
@@ -79,13 +84,19 @@ def _check_in_scope(p: AdmissiblePolynomial):
             "%s belongs to a linear variety; its regularity is 0" % p)
 
 
-def _function_trace(u: HilbertFunction):
-    """Trace rows for the descent starting at the scheme function u, one
-    per level down to the constant tail; each row's bound is the larger
-    of its reg + 1 and the bound of the row below it."""
+def _function_trace(u: HilbertFunction) -> RegularityReport:
+    """The descent from the scheme function u, one trace row per level
+    down to the constant tail.  Each level fits the least regularity,
+    from the scheme minimum of dp, the tail's difference, up to
+    max(reg(u) + 1, that minimum), whose minimal function of dp lies
+    below the difference of u; that function is the next level's u.
+    Each row's bound is the larger of its reg + 1 and the bound of the
+    row below it."""
     levels = []
     while u.tail.degree > 0:
-        fit, sub = descent_step(u)
+        dp = u.tail.derivative()
+        cap = max(u.regularity + 1, min_scheme_regularity(dp))
+        fit, sub = least_dominated_regularity(dp, u.delta(), cap)
         if sub.regularity != fit:
             raise InternalInconsistency(
                 "minimal function of %s at %d lost its regularity"
@@ -100,7 +111,7 @@ def _function_trace(u: HilbertFunction):
         bound = max(rho_u + 1, bound)
         rows.append(TraceRow(p, p.gotzmann_number, min_function_regularity(p),
                              min_scheme_regularity(p), rho_u, fit, bound))
-    return tuple(reversed(rows))
+    return RegularityReport(levels[0][0], tuple(reversed(rows)))
 
 
 def _closed_form(p: AdmissiblePolynomial, rho: int) -> int:
@@ -120,7 +131,7 @@ def min_regularity_at(p: AdmissiblePolynomial, rho: int) -> RegularityReport:
         raise EmptyClass(
             "no scheme with polynomial %s has a Hilbert function of "
             "regularity %d" % (p, rho))
-    report = RegularityReport(_function_trace(u))
+    report = _function_trace(u)
     threshold = min_scheme_regularity(p)
     if rho > threshold:
         expected = _closed_form(p, rho)
@@ -146,7 +157,7 @@ def min_regularity_of_function(u: HilbertFunction) -> RegularityReport:
     if u.tail.gotzmann_number < 2:
         raise LinearVariety(
             "functions of linear varieties are out of scope: %s" % u)
-    return RegularityReport(_function_trace(u))
+    return _function_trace(u)
 
 
 def min_regularity_in_space(p: AdmissiblePolynomial, n: int) -> RegularityReport:

@@ -29,6 +29,7 @@ stepwise_lifting() is the paper's expanded lifting by whole slices, one
 removal at a time, and reference_witness() chains those liftings down
 the derivative tower, from an artinian lex base; it calls no ghl_ideal,
 and constructions.witness_min_reg must build its ideal in one step.
+witness_of() is the public builder on a function's own descent.
 artinian_lift() adds a new least variable, and lex_segment_ideal() is
 the saturated lex-segment ideal of a polynomial, the ghl ideal of its
 least function at its Gotzmann number.  minus_minus() is a_<t> by one
@@ -91,14 +92,16 @@ from minreg import cli
 from minreg.binomials import binom, macaulay_expand
 from minreg.borel import (StronglyStableIdeal, basis_size, ghl_ideal,
                           slice_heights, term_string)
-from minreg.constructions import VerificationReport, WitnessCertificate
+from minreg.constructions import (VerificationReport, WitnessCertificate,
+                                  witness_min_reg)
 from minreg.errors import InternalInconsistency, NotAdmissible
-from minreg.functions import (HilbertFunction, descent_step,
+from minreg.functions import (HilbertFunction, least_dominated_regularity,
                               min_function_regularity,
                               min_scheme_regularity, minimal_function)
 from minreg.polynomials import (AdmissiblePolynomial,
                                 polynomial_from_coefficients, quotient_tail,
                                 slice_growth)
+from minreg.regularity import min_regularity_of_function
 
 
 SWEEP = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -545,6 +548,11 @@ def stepwise_lifting(f, Jz, log=None):
         B = BorelSet(B.nvars, m, B.terms - {term})
 
 
+def witness_of(u):
+    """The witness of the scheme function u, built from u's own descent."""
+    return witness_min_reg(min_regularity_of_function(u))
+
+
 def reference_witness(u):
     """The minimal witness of the scheme function u by the paper's chain:
     lift a witness of the minimal function that the descent fits under
@@ -559,8 +567,9 @@ def reference_witness(u):
         return WitnessCertificate(artinian_lift(base), u, u.regularity + 1,
                                   ("artinian lex base in %d variables"
                                    % base.nvars,))
-    fit, section_function = descent_step(u)
-    dp = section_function.tail
+    dp = u.tail.derivative()
+    fit, section_function = least_dominated_regularity(
+        dp, u.delta(), max(u.regularity + 1, min_scheme_regularity(dp)))
     if dp.gotzmann_number == 1:
         # C(z+k, k) is cut out by the zero ideal in k+1 variables
         W = StronglyStableIdeal(dp.degree + 1, frozenset())

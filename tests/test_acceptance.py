@@ -25,7 +25,8 @@ from minreg.regularity import (min_regularity, min_regularity_at,
 from conftest import (BorelSet, borel_leq, contains, degree_slice, ghl_set,
                       hilbert_function, ideal, lex_segment_ideal, lgh,
                       minus_minus, monomial_basis, regularity,
-                      saturate_slice, saturation, stepwise_lifting)
+                      saturate_slice, saturation, stepwise_lifting,
+                      witness_of)
 
 
 def poly(text):
@@ -67,7 +68,8 @@ def test_criterion_2_large_cubic_chain(record_property):
 def test_large_cubic_witness():
     start = monotonic()
     p = poly("2z^3-6z^2+29z-20")
-    cert = witness_min_reg(minimal_scheme_function(p, 2))
+    cert = witness_min_reg(min_regularity(p))
+    assert cert.hilbert_function == minimal_scheme_function(p, 2)
     assert cert.regularity == 7
     assert verify_witness(cert).ok
     assert monotonic() - start < 60.0
@@ -151,7 +153,7 @@ def test_criterion_7_cross_validation_sweep(record_property):
             else:
                 closed = rho + 2
             report = min_regularity_at(p, rho)
-            cert = witness_min_reg(u)
+            cert = witness_min_reg(report)
             assert report.regularity == closed, (text, rho)
             assert cert.regularity == closed, (text, rho)
             assert verify_witness(cert).ok, (text, rho)
@@ -231,7 +233,7 @@ def test_criterion_8_oracle_suites(record_property):
                     assert borel_leq(a, b) == (b in closures[a])
 
     # (c) Hilbert functions by formula against brute enumeration
-    witnesses = [witness_min_reg(minimal_scheme_function(poly(t), r)).ideal
+    witnesses = [witness_of(minimal_scheme_function(poly(t), r)).ideal
                  for t, r in (("15z-24", 3), ("5z-3", 3), ("4", 2))]
     for I in [CROOKED, STRAIGHTENED, CURVE15, lex_segment_ideal(poly("5z-3")),
               lex_segment_ideal(poly("3z+1"))] + witnesses:

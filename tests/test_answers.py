@@ -9,6 +9,7 @@ changed command line in CHANGES.md.
 import json
 import os
 
+import make_answers
 from conftest import answer
 
 ANSWERS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -23,3 +24,11 @@ def test_every_command_line_gives_its_recorded_answer(tmp_path, monkeypatch):
         table = json.load(handle)
     got = [[argv, *answer(argv)] for argv, _, _ in table]
     assert [(was, now) for was, now in zip(table, got) if was != now] == []
+
+
+def test_the_table_lists_the_command_lines_make_answers_lists():
+    # The table is only rewritten by make_answers, so a command line
+    # added to or dropped from its list must show here, not go untested.
+    with open(ANSWERS, encoding="utf-8") as handle:
+        table = json.load(handle)
+    assert [argv for argv, _, _ in table] == make_answers.command_lines()

@@ -569,20 +569,28 @@ def test_witness_refuses_what_minreg_refuses(capsys, text, flags):
 def test_witness_of_a_polynomial_tests_its_function_once(capsys,
                                                         monkeypatch):
     """`witness p` takes its descent from min_regularity, in which the
-    minimal scheme function passes its scheme test, and hands it to the
-    builder without a second test; `witness --hf` keeps its own test."""
-    tested = []
+    minimal scheme function is built and passes its scheme test, and
+    hands the report to the builder, which neither tests nor rebuilds
+    it; `witness --hf` keeps its own test."""
+    tested, built = [], []
 
     def counted(h, real=minreg.functions.is_scheme_function):
         tested.append(str(h))
         return real(h)
 
-    for module in (minreg.functions, minreg.regularity):
-        monkeypatch.setattr(module, "is_scheme_function", counted)
+    def counted_build(p, rho, real=minreg.functions.minimal_function):
+        built.append((str(p), rho))
+        return real(p, rho)
+
+    for module in (minreg.functions, minreg.regularity, minreg.cli):
+        if hasattr(module, "is_scheme_function"):
+            monkeypatch.setattr(module, "is_scheme_function", counted)
+        monkeypatch.setattr(module, "minimal_function", counted_build)
     minreg.regularity.min_regularity.cache_clear()
     code, out, _ = run(capsys, "witness", "9z-7", "--json")
     assert code == 0
     assert tested == [json.loads(out)["hilbert_function"]]
+    assert built == [("9z-7", 2)]
     tested.clear()
     code, out, _ = run(capsys, "witness", "--hf", "1,4 ; 5z-3", "--json")
     assert code == 1 and tested == ["1,4 ; 5z-3"]

@@ -1,6 +1,7 @@
 """Tests for the witness builder and its verifier, and for the paper's
 stepwise constructions, kept in conftest as its references."""
 
+import inspect
 import random
 import sys
 
@@ -11,20 +12,25 @@ from minreg import borel, constructions
 from minreg.borel import StronglyStableIdeal, ghl_ideal, term_string
 from minreg.constructions import (WitnessCertificate, certificate_from_dict,
                                   verify_witness, witness_min_reg)
-from minreg.errors import LinearVariety, NotSchemeHF, VerificationFailure
+from minreg.errors import (AmbientTooSmall, EmptyClass, LinearVariety,
+                           NotSchemeHF, VerificationFailure)
 from minreg.functions import (HilbertFunction, minimal_function,
                               minimal_function_exact, minimal_scheme_function,
                               min_scheme_regularity, parse_hilbert_function)
 from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
-from minreg.regularity import min_regularity, min_regularity_at
+from minreg.regularity import (min_regularity, min_regularity_at,
+                               min_regularity_in_space,
+                               min_regularity_of_function)
 
 import conftest
 from conftest import (NoRemovableTerm, artinian_lift, degrevlex_key,
                       ek_index, from_writing, hilbert_function, ideal,
                       lex_segment_ideal, reference_removal,
                       reference_witness, regularity, saturation,
-                      stepwise_lifting, sweep_classes, writings)
+                      stepwise_lifting, sweep_classes, witness_of,
+                      writings)
 from test_borel import random_borel_set
+from test_functions import CHAIN_FIXTURES
 
 
 def poly(text):
@@ -213,8 +219,8 @@ def test_graft_realizes_the_next_regularity():
     p = poly("12z-25")
     f6 = minimal_function(p, 6)
     g7 = minimal_function_exact(p, 7)
-    base = witness_min_reg(f6)
-    bumped = witness_min_reg(g7)
+    base = witness_of(f6)
+    bumped = witness_of(g7)
     assert base.regularity == 8
     assert bumped.regularity == 9
     target, grafted = graft(base.ideal, bumped.ideal, 9)
@@ -224,8 +230,8 @@ def test_graft_realizes_the_next_regularity():
 
 def test_graft_of_points():
     four = poly("4")
-    q = witness_min_reg(minimal_function(four, 1))
-    w = witness_min_reg(minimal_function(four, 3))
+    q = witness_of(minimal_function(four, 1))
+    w = witness_of(minimal_function(four, 3))
     target, grafted = graft(q.ideal, w.ideal, 4)
     assert target == minimal_function(four, 3)
     assert regularity(grafted) <= 4
@@ -233,7 +239,7 @@ def test_graft_of_points():
 
 def test_graft_with_itself_changes_nothing():
     f6 = minimal_function(poly("12z-25"), 6)
-    base = witness_min_reg(f6).ideal
+    base = witness_of(f6).ideal
     target, grafted = graft(base, base, 8)
     assert target == f6
     assert grafted == base
@@ -260,9 +266,10 @@ def test_witnesses_hit_the_computed_minimum(text, rho, expected):
     p = poly(text)
     u = minimal_scheme_function(p, rho)
     assert u is not None
-    cert = witness_min_reg(u)
+    report = min_regularity_at(p, rho)
+    cert = witness_min_reg(report)
     assert cert.regularity == expected
-    assert cert.regularity == min_regularity_at(p, rho).regularity
+    assert cert.regularity == report.regularity
     assert cert.hilbert_function == u
     assert cert.ideal.nvars == u(1)
     assert verify_witness(cert).ok
@@ -275,7 +282,7 @@ def test_witness_is_the_end_of_the_lifting_chain():
     assert len(functions) == len(WITNESS_TABLE) + 50
     for u in functions:
         reference = reference_witness(u)
-        cert = witness_min_reg(u)
+        cert = witness_of(u)
         assert cert.ideal == reference.ideal, u
         assert cert.regularity == reference.regularity, u
 
@@ -285,7 +292,7 @@ def test_witness_is_the_end_of_the_lifting_chain():
 def test_random_witnesses(writing):
     p = polynomial_from_coefficients(from_writing(writing))
     u = minimal_scheme_function(p, min_scheme_regularity(p))
-    cert = witness_min_reg(u)
+    cert = witness_of(u)
     assert cert.ideal == reference_witness(u).ideal
     assert cert.regularity == min_regularity(p).regularity
     assert certificate_from_dict(cert.as_dict()) == cert
@@ -296,7 +303,7 @@ def test_witness_of_exact_function_needs_more_removals():
     reference = reference_witness(g7)
     removals = [line for line in reference.log if line.startswith("removed")]
     assert len(removals) == 5
-    cert = witness_min_reg(g7)
+    cert = witness_of(g7)
     assert cert.ideal == reference.ideal
     assert cert.regularity == 9
     assert cert.log[-1] == "ghl slice of degree 9 in 4 variables"
@@ -308,7 +315,7 @@ def test_the_chain_reference_makes_no_ghl_call(monkeypatch):
     functions = [minimal_scheme_function(poly(text), rho)
                  for text, rho, _ in WITNESS_TABLE]
     functions += [hf(cls["function"]) for cls in sweep_classes()]
-    expected = [witness_min_reg(u).ideal for u in functions]
+    expected = [witness_of(u).ideal for u in functions]
 
     def refused(*args):
         raise AssertionError("ghl_ideal called")
@@ -318,7 +325,7 @@ def test_the_chain_reference_makes_no_ghl_call(monkeypatch):
         if getattr(module, "ghl_ideal", None) is original:
             monkeypatch.setattr(module, "ghl_ideal", refused)
     with pytest.raises(AssertionError, match="ghl_ideal called"):
-        witness_min_reg(functions[0])
+        witness_of(functions[0])
     assert len(functions) == 61
     for u, ideal_u in zip(functions, expected):
         assert reference_witness(u).ideal == ideal_u, u
@@ -338,14 +345,59 @@ def test_builders_refuse_a_sabotaged_result(monkeypatch, builder):
     f6 = minimal_function(poly("12z-25"), 6)
     monkeypatch.setattr(constructions, "ghl_ideal", without_a_top_generator)
     with pytest.raises(VerificationFailure, match="failed verification"):
-        witness_min_reg(f6)
+        witness_of(f6)
 
 
 def test_witness_rejects_bad_functions():
     with pytest.raises(NotSchemeHF):
-        witness_min_reg(hf("1,5 ; 2"))
+        witness_of(hf("1,5 ; 2"))
     with pytest.raises(LinearVariety):
-        witness_min_reg(hf("1 ; z+1"))
+        witness_of(hf("1 ; z+1"))
+
+
+def test_witness_takes_its_descent_alone():
+    # The builder takes one report, so no function can be paired with the
+    # descent of another: u beside the descent of 5z-3 once gave a
+    # verified certificate claiming 5, where u's own least regularity is 4.
+    assert list(inspect.signature(witness_min_reg).parameters) == ["descent"]
+    u = hf("1,5 ; 9z-7")
+    with pytest.raises(TypeError):
+        witness_min_reg(u, min_regularity(poly("5z-3")))
+    cert = witness_min_reg(min_regularity_of_function(u))
+    assert (cert.hilbert_function, cert.regularity) == (u, 4)
+
+
+def descents(p):
+    """(ambient n or None, report) for every descent query on p: the
+    global one, each nonempty rho <= 8, each n <= 8 with room for p, and
+    the function of each of those on its own."""
+    found = [(None, min_regularity(p))]
+    for rho in range(9):
+        try:
+            found.append((None, min_regularity_at(p, rho)))
+        except EmptyClass:
+            pass
+    for n in range(9):
+        try:
+            found.append((n, min_regularity_in_space(p, n)))
+        except AmbientTooSmall:
+            pass
+    return found + [(n, min_regularity_of_function(report.function))
+                    for n, report in found]
+
+
+@pytest.mark.parametrize("text", CHAIN_FIXTURES)
+def test_a_witness_from_every_descent(text):
+    reports = descents(poly(text))
+    assert any(n is not None for n, _ in reports), text
+    for n, report in reports:
+        cert = witness_min_reg(report)
+        assert verify_witness(cert).ok
+        assert cert.hilbert_function == report.function
+        assert cert.regularity == report.regularity == \
+            min_regularity_of_function(cert.hilbert_function).regularity
+        if n is not None:
+            assert cert.ideal.nvars <= n + 1, (text, n)
 
 
 def test_witness_builds_linear_sections():
@@ -354,7 +406,7 @@ def test_witness_builds_linear_sections():
                  "1/6z^3+z^2+11/6z+3"):
         p = poly(text)
         u = minimal_scheme_function(p, min_scheme_regularity(p))
-        cert = witness_min_reg(u)
+        cert = witness_of(u)
         assert verify_witness(cert).ok, text
         assert cert.regularity == min_regularity_at(
             p, min_scheme_regularity(p)).regularity, text
@@ -372,7 +424,7 @@ def test_witness_monotone_in_rho():
             u = minimal_scheme_function(p, rho)
             if u is None:
                 continue
-            pairs.append((rho, witness_min_reg(u).regularity))
+            pairs.append((rho, witness_of(u).regularity))
         assert len(pairs) >= 2
         values = [v for _, v in pairs]
         assert values == sorted(values)
@@ -384,7 +436,7 @@ def test_witness_respects_global_bounds():
         p = poly(text)
         rho = min_scheme_regularity(p)
         u = minimal_function(p, rho)
-        cert = witness_min_reg(u)
+        cert = witness_of(u)
         peaks = [rho]
         q = p
         while q.degree > 0:
@@ -434,7 +486,7 @@ def test_lex_segment_packages_as_a_certificate():
 
 
 def test_certificate_serialization():
-    cert = witness_min_reg(minimal_function(poly("2z+2"), 1))
+    cert = witness_of(minimal_function(poly("2z+2"), 1))
     payload = cert.as_dict()
     assert payload["ideal"]["vars"] == cert.ideal.nvars
     assert payload["regularity"] == 2

@@ -1,7 +1,8 @@
 """The package's public surface: the names it exports, the standard
-modules its CLI leaves unloaded, and the README's library example and
-command lines, run as written."""
+modules its CLI leaves unloaded, the layering of its modules, and the
+README's library example and command lines, run as written."""
 
+import ast
 import os
 import re
 import shlex
@@ -72,6 +73,19 @@ def test_the_cli_imports_neither_fractions_nor_decimal_nor_dataclasses():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, check=True, timeout=60).stdout
     assert loaded == "[]\n"
+
+
+def test_the_witness_builder_does_not_import_the_descent():
+    # witness_min_reg takes a descent report and reads its function,
+    # regularity and trace; it runs no descent of its own.
+    with open(minreg.constructions.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names}
+    assert imported >= {"borel", "functions"}
+    assert not {"regularity", "minreg.regularity"} & imported
 
 
 def test_the_readme_library_example_runs():

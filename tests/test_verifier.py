@@ -23,15 +23,14 @@ from minreg.binomials import binom
 from minreg.borel import StronglyStableIdeal
 from minreg.cli import main
 from minreg.constructions import (WitnessCertificate, _standard_counts_match,
-                                  certificate_from_dict, verify_witness,
-                                  witness_min_reg)
+                                  certificate_from_dict, verify_witness)
 from minreg.functions import (HilbertFunction, min_scheme_regularity,
                               minimal_scheme_function, parse_hilbert_function)
 from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
 
 from conftest import (binomial_coeffs, hilbert_function, reference_verify,
                       reference_walk, regularity, standard_counts,
-                      sweep_classes)
+                      sweep_classes, witness_of)
 
 KINDS = ("stored", "drop", "raise", "value", "regularity")
 
@@ -414,7 +413,7 @@ def test_slow_witnesses_end_and_verify(text):
     p = parse_polynomial(text)
     u = minimal_scheme_function(p, min_scheme_regularity(p))
     with budget(8):
-        cert = witness_min_reg(u)
+        cert = witness_of(u)
     assert cert.hilbert_function == u
 
 
