@@ -278,7 +278,11 @@ def witness_min_reg(descent) -> WitnessCertificate:
     of its target at its working degree: the tail fixes the growth
     classes and the function the height classes.  So the witness is
     ghl_ideal(u, m, u(1)), built in one step, and verified once, as it
-    leaves."""
+    leaves.  A HilbertFunction in its place is a TypeError."""
+    if isinstance(descent, HilbertFunction):
+        raise TypeError("witness_min_reg takes a RegularityReport, such as"
+                        " min_regularity_of_function(u), not the"
+                        " HilbertFunction %s" % descent)
     u, m = descent.function, descent.regularity
     nvars = u(1)
     log = tuple("descent at %s: rho_used %d, rho_fit %s, regularity %d"

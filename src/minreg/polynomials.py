@@ -25,12 +25,17 @@ over d! for a built polynomial.  Fraction is imported only inside the
 two readers outside the term grammar: the bracket list `[c_k,...,c_0]`,
 whose entries take Fraction's grammar (`1.5`, `2e1`), and a library
 coefficient with no numerator and denominator, such as a float.
+
+parse_tail is the one cached reader of text: a session parses each text
+once, and parse_polynomial, every Hilbert function's tail and every
+certificate share its record, which is therefore never to be changed.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from functools import lru_cache
 from itertools import accumulate, zip_longest
 from operator import mul
@@ -362,11 +367,39 @@ def _from_numerators(numerators, scale: int) -> AdmissiblePolynomial:
     return p
 
 
-def parse_tail(text: str) -> AdmissiblePolynomial:
-    """Polynomial from text, ZERO included; tolerates any Gotzmann
-    number, as the tail of a Hilbert function may."""
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+@lru_cache(maxsize=256)
+def _read_tail(text: str, digit_limit: int) -> AdmissiblePolynomial:
+    """parse_tail's cache; digit_limit only completes the key."""
     numerators, scale = parse_coefficients(text)
     return _from_numerators(numerators, scale) if numerators else ZERO
+
+
+def parse_tail(text: str) -> AdmissiblePolynomial:
+    """Polynomial from text, ZERO included; tolerates any Gotzmann
+    number, as the tail of a Hilbert function may.
+
+    The one reader of polynomial text: a session parses each text once,
+    and every later call, parse_polynomial's and each Hilbert function's
+    tail included, returns the same record with the runs, text and
+    derivatives it has kept.  A refused text is not kept, so it raises
+    the same error on every call; the key holds the int-digit limit in
+    force, so a numeral past it is refused on every call.
+
+    The cache holds the last 256 texts.  An entry keeps its text and its
+    record, with whatever runs, derivatives and texts the record has
+    built: about 1 KB for a cubic.  The P^300 quadric's 239 KB text
+    keeps 0.7 MB with its derivative chain, and 23 MB once every
+    derivative has printed its text; 256 such entries would keep about
+    6 GB, as min_regularity's unbounded cache of reports, keyed on the
+    same records, already does."""
+    return _read_tail(text, _digit_limit())
+
+
+parse_tail.cache_info = _read_tail.cache_info
+parse_tail.cache_clear = _read_tail.cache_clear
 
 
 def parse_polynomial(text: str) -> AdmissiblePolynomial:
@@ -375,11 +408,11 @@ def parse_polynomial(text: str) -> AdmissiblePolynomial:
     Raises ParseError on bad syntax, NotAdmissible when the polynomial is
     not a Hilbert polynomial, and LinearVariety when the Gotzmann number
     is below 2 (points, lines and larger linear spaces are out of scope).
+    The record is parse_tail's, shared by every caller of the same text.
     """
-    numerators, scale = parse_coefficients(text)
-    if not numerators:
+    p = parse_tail(text)
+    if p is ZERO:
         raise NotAdmissible("the zero polynomial is not a Hilbert polynomial here")
-    p = _from_numerators(numerators, scale)
     if p.gotzmann_number < 2:
         raise LinearVariety(
             "%s is the Hilbert polynomial of a linear variety; its regularity is 0" % p)

@@ -26,6 +26,18 @@ def test_every_command_line_gives_its_recorded_answer(tmp_path, monkeypatch):
     assert [(was, now) for was, now in zip(table, got) if was != now] == []
 
 
+def test_a_warm_session_gives_the_recorded_answers(tmp_path, monkeypatch):
+    # The table twice in one process: no answer may depend on the
+    # records and reports that earlier command lines left in the caches.
+    monkeypatch.chdir(tmp_path)
+    with open(ANSWERS, encoding="utf-8") as handle:
+        table = json.load(handle)
+    for _ in range(2):
+        got = [[argv, *answer(argv)] for argv, _, _ in table]
+        assert [(was, now) for was, now in zip(table, got) if was != now] \
+            == []
+
+
 def test_the_table_lists_the_command_lines_make_answers_lists():
     # The table is only rewritten by make_answers, so a command line
     # added to or dropped from its list must show here, not go untested.

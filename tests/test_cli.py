@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import minreg.cli
 import minreg.functions
+import minreg.polynomials
 import minreg.regularity
 from conftest import from_writing, reference_parser, writings
 from minreg.cli import UsageError, main
@@ -595,6 +596,25 @@ def test_witness_of_a_polynomial_tests_its_function_once(capsys,
     code, out, _ = run(capsys, "witness", "--hf", "1,4 ; 5z-3", "--json")
     assert code == 1 and tested == ["1,4 ; 5z-3"]
     assert json.loads(out)["error"]["code"] == "NotSchemeHF"
+
+
+def test_a_session_reads_each_polynomial_text_once(capsys, monkeypatch):
+    """Ten questions about one polynomial read its text once: every
+    later one takes the record parse_tail keeps."""
+    read = []
+
+    def counted(text, real=minreg.polynomials.parse_coefficients):
+        read.append(text)
+        return real(text)
+
+    monkeypatch.setattr(minreg.polynomials, "parse_coefficients", counted)
+    minreg.polynomials.parse_tail.cache_clear()
+    for argv in (["gotzmann"], ["rho"], ["rho-bar"], ["minfn"],
+                 ["minfn", "--rho", "5"], ["exists", "--rho", "5"],
+                 ["minreg"], ["minreg", "--rho", "5"],
+                 ["minreg", "--ambient", "4"], ["table"]):
+        assert run(capsys, argv[0], "6z-9", *argv[1:])[0] in (0, 1)
+    assert read == ["6z-9"]
 
 
 def test_witness_and_verify_through_files(tmp_path, capsys):

@@ -367,6 +367,15 @@ def test_witness_takes_its_descent_alone():
     assert (cert.hilbert_function, cert.regularity) == (u, 4)
 
 
+def test_witness_of_a_function_names_the_report_it_takes():
+    # A function in place of its report once failed inside the builder
+    # with an AttributeError.
+    with pytest.raises(TypeError) as caught:
+        witness_min_reg(hf("1,4,8 ; 5z-3"))
+    assert "RegularityReport" in str(caught.value)
+    assert "min_regularity_of_function(u)" in str(caught.value)
+
+
 def descents(p):
     """(ambient n or None, report) for every descent query on p: the
     global one, each nonempty rho <= 8, each n <= 8 with room for p, and

@@ -13,6 +13,7 @@ slice_growth is checked as the inverse of quotient_tail, at a single
 degree, on every small growth vector.
 """
 
+import sys
 from fractions import Fraction
 from itertools import groupby, product
 from math import comb
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minreg.errors import LinearVariety, NotAdmissible, ParseError
-from minreg.functions import HilbertFunction
+from minreg.functions import HilbertFunction, parse_hilbert_function
 from minreg.polynomials import (ZERO, AdmissiblePolynomial,
                                 parse_coefficients, parse_polynomial,
                                 parse_tail, polynomial_from_coefficients,
@@ -104,6 +105,46 @@ def test_parse_polynomial_rejects_inadmissible(text):
 ])
 def test_parse_polynomial_rejects_linear_varieties(text):
     with pytest.raises(LinearVariety):
+        parse_polynomial(text)
+
+
+def test_each_text_is_read_once_into_one_shared_record():
+    text = "2z^3-6z^2+29z-20"
+    assert parse_polynomial(text) is parse_polynomial(text)
+    assert parse_tail(text) is parse_polynomial(text)
+    assert parse_hilbert_function("1,4,8 ; 5z-3").tail \
+        is parse_polynomial("5z-3")
+    assert isinstance(parse_tail.cache_info().maxsize, int)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("1/0z", ParseError),
+    ("0", NotAdmissible),
+    ("z+1", LinearVariety),
+])
+def test_a_refused_text_is_refused_alike_on_every_call(text, error):
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as caught:
+            parse_polynomial(text)
+        assert type(caught.value) is error
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-digit limit")
+def test_the_digit_limit_in_force_decides_each_call():
+    # The limit is part of the cache key: a numeral read while no limit
+    # held is still refused once the default limit is back.
+    text = "1" * 5000 + "z"
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert parse_polynomial(text).coordinates[1] == int("1" * 5000)
+    finally:
+        sys.set_int_max_str_digits(default)
+    with pytest.raises(ParseError, match="more digits than Python"):
         parse_polynomial(text)
 
 
