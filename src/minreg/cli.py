@@ -42,7 +42,7 @@ from .errors import InputError, MinregError, TooManyDigits
 from .functions import (min_function_regularity, min_scheme_regularity,
                         minimal_function, minimal_function_exact,
                         minimal_scheme_function, parse_hilbert_function)
-from .polynomials import parse_polynomial
+from .polynomials import _digit_limit, parse_polynomial
 from .regularity import (min_regularity, min_regularity_at,
                          min_regularity_in_space, min_regularity_of_function)
 
@@ -99,7 +99,7 @@ def _emit(args, payload: dict, lines):
 def _gotzmann_number(p, n: int) -> int:
     """n, the Gotzmann number of p, or TooManyDigits, with the digit count,
     when n has more digits than Python converts to text."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     # 8^limit < 10^limit, so n has at most `limit` digits below that size.
     if not limit or n.bit_length() <= 3 * limit:
         return n

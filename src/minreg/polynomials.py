@@ -18,13 +18,14 @@ package does with a polynomial is integer arithmetic on them.  The zero
 polynomial is ZERO, the empty writing (r = 0, no coordinates): it is the
 tail of an Artinian quotient's Hilbert function and the derivative of a
 constant, so derivative() always returns a polynomial.  Text is integer
-arithmetic too: the parser reads monomial numerators over a common
-denominator, a cached integer matrix per degree maps them to the
-coordinates, and the one printer reduces each over that denominator, or
-over d! for a built polynomial.  Fraction is imported only inside the
-two readers outside the term grammar: the bracket list `[c_k,...,c_0]`,
-whose entries take Fraction's grammar (`1.5`, `2e1`), and a library
-coefficient with no numerator and denominator, such as a float.
+arithmetic too, one route each way: the parser reads monomial numerators
+over a common denominator and takes the coordinates from their values at
+-1, ..., -(d + 1) by Horner's rule and differences, and the one printer
+reduces the monomial numerators of d! p over d!.  Fraction is imported
+only inside the two readers outside the term grammar: the bracket list
+`[c_k,...,c_0]`, whose entries take Fraction's grammar (`1.5`, `2e1`),
+and a library coefficient with no numerator and denominator, such as a
+float.
 
 parse_tail is the one cached reader of text: a session parses each text
 once, and parse_polynomial, every Hilbert function's tail and every
@@ -38,7 +39,6 @@ import re
 import sys
 from functools import lru_cache
 from itertools import accumulate, zip_longest
-from operator import mul
 
 from .errors import LinearVariety, NotAdmissible, ParseError
 
@@ -86,15 +86,13 @@ class AdmissiblePolynomial:
     C(z + k, k), k = 0..degree.  A trusted record: the builders here yield
     admissible polynomials, and outside input comes in through
     polynomial_from_coefficients, which checks it.  It keeps its runs,
-    text and derivative once built, and prints monomials, the parser's
-    (numerators, scale), if given."""
+    text and derivative once built."""
 
     __slots__ = ("coordinates", "_runs", "_text", "_derivative")
 
-    def __init__(self, coordinates: tuple, monomials=None):
+    def __init__(self, coordinates: tuple):
         self.coordinates = coordinates
-        self._runs = self._derivative = None
-        self._text = monomials
+        self._runs = self._text = self._derivative = None
 
     def __eq__(self, other):
         if type(other) is not AdmissiblePolynomial:
@@ -167,27 +165,24 @@ class AdmissiblePolynomial:
         return True
 
     def __str__(self):
-        """Each monomial coefficient in lowest terms, kept once printed:
-        the parser's numerators over their scale, or those of d! p (d!
-        C(z + k, k) is d!/k! times the product of z + 1, ..., z + k)."""
-        if type(self._text) is str:
+        """Each monomial coefficient of d! p over d! in lowest terms, kept
+        once printed (d! C(z + k, k) is d!/k! times the product of
+        z + 1, ..., z + k)."""
+        if self._text is not None:
             return self._text
-        if self._text is None:
-            scale = math.factorial(max(self.degree, 0))
-            numerators = [0] * len(self.coordinates)
-            product = [1]
-            for k, a in enumerate(self.coordinates):
-                if k:
-                    product = [k * c + b
-                               for c, b in zip(product + [0], [0] + product)]
-                if a:
-                    weight = a * (scale // math.factorial(k))
-                    for exp, c in enumerate(product):
-                        numerators[exp] += weight * c
-        else:
-            numerators, scale = self._text
+        scale = math.factorial(max(self.degree, 0))
+        numerators = [0] * len(self.coordinates)
+        product = [1]
+        for k, a in enumerate(self.coordinates):
+            if k:
+                product = [k * c + b
+                           for c, b in zip(product + [0], [0] + product)]
+            if a:
+                weight = a * (scale // math.factorial(k))
+                for exp, c in enumerate(product):
+                    numerators[exp] += weight * c
         parts = []
-        for exp in range(len(numerators) - 1, -1, -1):
+        for exp in range(self.degree, -1, -1):
             n = numerators[exp]
             if n == 0:
                 continue
@@ -333,36 +328,35 @@ def polynomial_from_coefficients(coeffs) -> AdmissiblePolynomial:
     return _from_numerators(*_over_common_denominator(terms))
 
 
-@lru_cache(maxsize=None)
-def _coordinate_rows(n: int):
-    """Rows k < n of M[k][i] = sum_x (-1)^x C(k, x) (-(1 + x))^i, i >= k
-    (0 below), column by column: M[k][i + 1] = k M[k - 1][i] - (k + 1)
-    M[k][i], as M[k][i] = (-1)^(i + k) k! S(i + 1, k + 1), S Stirling's."""
-    columns = [[1]]
-    while len(columns) < n:
-        c = columns[-1]
-        columns.append([k * a - (k + 1) * b
-                        for k, (a, b) in enumerate(zip([0] + c, c + [0]))])
-    return tuple(tuple(c[k] for c in columns[k:]) for k in range(n))
+def _value(numerators, x: int) -> int:
+    """sum_i numerators[i] x^i, by Horner's rule."""
+    value = 0
+    for c in reversed(numerators):
+        value = value * x + c
+    return value
 
 
 def _from_numerators(numerators, scale: int) -> AdmissiblePolynomial:
-    """The polynomial with coefficients numerators[i] / scale, and its text.
+    """The polynomial with monomial coefficients numerators[i] / scale.
 
-    L a_k, L = scale, is (nabla^k L p)(-1) = sum_i M[k][i] numerators[i],
-    so p is integer valued iff L divides each of them; otherwise the
-    first t >= 0 with L p(t) not divisible by L, at most d, is named.
+    L a_k, L = scale, are the differences nabla^k (L p) at -1 of the
+    integer values L p(-1), ..., L p(-(d + 1)), so p is integer valued
+    iff L divides each of them; otherwise the first t >= 0 with L p(t)
+    not divisible by L, at most d, is named.
     """
     if not numerators:
         raise NotAdmissible("the zero polynomial has no gotzmann writing")
-    scaled = [sum(map(mul, row, numerators[k:]))
-              for k, row in enumerate(_coordinate_rows(len(numerators)))]
+    level = [_value(numerators, x)
+             for x in range(-1, -len(numerators) - 1, -1)]
+    scaled = []
+    while level:
+        scaled.append(level[0])
+        level = [a - b for a, b in zip(level, level[1:])]
     if scale != 1 and any(a % scale for a in scaled):
-        lp = AdmissiblePolynomial(tuple(scaled))
-        t = next(t for t in range(len(numerators)) if lp(t) % scale)
+        t = next(t for t in range(len(numerators))
+                 if _value(numerators, t) % scale)
         raise NotAdmissible("not integer valued at z = %d" % t)
-    p = AdmissiblePolynomial(tuple(a // scale for a in scaled),
-                             (numerators, scale))
+    p = AdmissiblePolynomial(tuple(a // scale for a in scaled))
     p.runs  # raises NotAdmissible when there is no Gotzmann writing
     return p
 
@@ -392,9 +386,10 @@ def parse_tail(text: str) -> AdmissiblePolynomial:
     record, with whatever runs, derivatives and texts the record has
     built: about 1 KB for a cubic.  The P^300 quadric's 239 KB text
     keeps 0.7 MB with its derivative chain, and 23 MB once every
-    derivative has printed its text; 256 such entries would keep about
-    6 GB, as min_regularity's unbounded cache of reports, keyed on the
-    same records, already does."""
+    derivative has printed its text (tracemalloc, text included); the
+    parse keeps nothing outside the entry.  256 such entries would keep
+    about 6 GB, as min_regularity's unbounded cache of reports, keyed
+    on the same records, already does."""
     return _read_tail(text, _digit_limit())
 
 

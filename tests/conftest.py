@@ -64,11 +64,8 @@ reference_str() is the Fraction printer built on it that
 AdmissiblePolynomial.__str__ must agree with, byte for byte.
 reference_polynomial() is the Fraction route from those coefficients to
 a polynomial, Horner's rule at -1, ..., -(d + 1) and then differences,
-that polynomials.polynomial_from_coefficients must agree with, refusal
-message for refusal message.  reference_from_numerators() is the same
-route in integers from the parser's numerators over their scale, by
-Horner's rule and a difference table, which the parser's cached matrix
-replaced and must agree with.
+that polynomials.polynomial_from_coefficients and the parser must agree
+with, refusal message for refusal message.
 writings is the hypothesis strategy of random Gotzmann writings, and
 from_writing() gives a writing's polynomial in those coefficients.
 """
@@ -663,28 +660,6 @@ def reference_polynomial(coeffs):
     p = AdmissiblePolynomial(tuple(int(a) for a in coordinates))
     p.runs  # raises NotAdmissible when there is no Gotzmann writing
     return p
-
-
-def reference_from_numerators(numerators, scale):
-    """The coordinates of the polynomial with ascending monomial
-    coefficients numerators[i] / scale, or NotAdmissible as the program
-    words it: scale a_k is the k-th difference of the integer values
-    scale p(-1), ..., scale p(-(d + 1)), each by Horner's rule."""
-    def value(x):
-        v = 0
-        for c in reversed(numerators):
-            v = v * x + c
-        return v
-
-    level = [value(x) for x in range(-1, -len(numerators) - 1, -1)]
-    scaled = []
-    while level:
-        scaled.append(level[0])
-        level = [a - b for a, b in zip(level, level[1:])]
-    if any(a % scale for a in scaled):
-        t = next(t for t in range(len(numerators)) if value(t) % scale)
-        raise NotAdmissible("not integer valued at z = %d" % t)
-    return tuple(a // scale for a in scaled)
 
 
 def poly_add(a, b):

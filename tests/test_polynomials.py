@@ -5,22 +5,24 @@ reconstruction (the defining identity), large ones through the structural
 fact that differencing shifts every summand down one degree.  Random
 Gotzmann writings check the coordinates against the printed coefficients,
 the printer is checked against the Fraction printer in conftest, the
-text a parsed polynomial takes from the parser against both printers on
-many spellings of one polynomial, the parser's coordinate matrix against
-conftest's Horner's rule and differences, and the nonnegativity scan is
+text of a parsed polynomial against both printers on many spellings of
+one polynomial, the parser's integer route from numerators over a scale
+against conftest's Fraction route, and the nonnegativity scan is
 checked against the monomial-basis reference scan in conftest.
 slice_growth is checked as the inverse of quotient_tail, at a single
 degree, on every small growth vector.
 """
 
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import groupby, product
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minreg import polynomials
 from minreg.errors import LinearVariety, NotAdmissible, ParseError
 from minreg.functions import HilbertFunction, parse_hilbert_function
 from minreg.polynomials import (ZERO, AdmissiblePolynomial,
@@ -28,12 +30,11 @@ from minreg.polynomials import (ZERO, AdmissiblePolynomial,
                                 parse_tail, polynomial_from_coefficients,
                                 quotient_tail, slice_growth)
 
-from minreg.polynomials import _coordinate_rows, _from_numerators
+from minreg.polynomials import _from_numerators
 
 from conftest import (binomial_coeffs, from_writing, interpolate, poly_add,
                       poly_eval, poly_nonnegative_from, poly_scale, poly_sub,
-                      reference_from_numerators, reference_polynomial,
-                      reference_str, writings)
+                      reference_polynomial, reference_str, writings)
 
 
 # ---------------------------------------------------------------------------
@@ -353,30 +354,6 @@ def test_integer_route_matches_the_fraction_route(pairs):
         assert parse_polynomial(str(p)) == p
 
 
-def test_the_coordinate_matrix_is_its_definition():
-    for n in range(1, 13):
-        rows = _coordinate_rows(n)
-        assert len(rows) == n
-        for k, row in enumerate(rows):
-            assert row == tuple(
-                sum((-1) ** x * comb(k, x) * (-(1 + x)) ** i
-                    for x in range(k + 1)) for i in range(k, n))
-        assert all(sum((-1) ** x * comb(k, x) * (-(1 + x)) ** i
-                       for x in range(k + 1)) == 0
-                   for k in range(n) for i in range(k))
-
-
-def _numerator_outcome(numerators, scale):
-    """The coordinates Horner's rule and the differences give, with the
-    program's refusal when they are not integers or have no writing."""
-    try:
-        coordinates = reference_from_numerators(numerators, scale)
-        AdmissiblePolynomial(coordinates).runs
-        return coordinates
-    except NotAdmissible as exc:
-        return str(exc)
-
-
 numerator_lists = st.tuples(
     st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8).filter(
         lambda ns: ns[-1] != 0).map(tuple),
@@ -388,17 +365,14 @@ writing_numerators = writings.map(
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(numerator_lists, writing_numerators))
-def test_the_matrix_matches_horner_and_differences(pair):
+def test_the_numerator_route_matches_the_fraction_route(pair):
     """Random integer numerators over a scale up to 7!, seldom integer
     valued, and the parsed numerators of random Gotzmann writings: the
-    matrix gives the coordinates, or the refusal, of the route by
-    Horner's rule and a difference table."""
+    integer route gives the coordinates, or the refusal word for word,
+    of the Fraction route from the coefficients numerators[i] / scale."""
     numerators, scale = pair
-    try:
-        outcome = _from_numerators(numerators, scale).coordinates
-    except NotAdmissible as exc:
-        outcome = str(exc)
-    assert outcome == _numerator_outcome(numerators, scale)
+    assert _outcome(_from_numerators, numerators, scale) == _outcome(
+        reference_polynomial, [Fraction(n, scale) for n in numerators])
 
 
 def _numerals(c):
@@ -460,9 +434,8 @@ def spellings(draw):
 @settings(max_examples=300, deadline=None)
 @given(spellings())
 def test_parsed_text_is_the_coordinates_text(spelled):
-    """The text a parsed polynomial takes from the parser's numerators
-    is the Fraction printer's text and the text printed from its
-    coordinates alone, whatever the spelling."""
+    """A parsed polynomial prints the Fraction printer's text, the text
+    printed from its coordinates alone, whatever the spelling."""
     coeffs, text = spelled
     assert _parsed(text) == tuple(coeffs)
     p = parse_tail(text)
@@ -477,6 +450,33 @@ def test_parsed_text_is_the_coordinates_text(spelled):
     ("z+z+2", "2z+2")])
 def test_parsed_text_of_some_spellings(text, expected):
     assert str(parse_tail(text)) == expected
+
+
+_HELD_BY_A_PARSE = """
+import tracemalloc
+from minreg.polynomials import parse_tail, quotient_tail
+q = str(quotient_tail({(300, 2): 1}, 301))
+tracemalloc.start()
+p = parse_tail(q)
+held = tracemalloc.get_traced_memory()[0]
+tracemalloc.stop()
+print(str(p) == q, held)
+"""
+
+
+def test_a_degree_299_text_is_read_back_in_little_memory():
+    # The P^300 quadric's 239 KB text prints back byte for byte, and its
+    # parse keeps no table that grows with the degree: a per-degree
+    # integer matrix would hold about 9 MB.  A fresh interpreter counts
+    # what the parse keeps, whatever earlier tests have built.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        polynomials.__file__)))
+    round_trip, held = subprocess.run(
+        [sys.executable, "-c", _HELD_BY_A_PARSE],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True, timeout=60).stdout.split()
+    assert round_trip == "True"
+    assert int(held) < 10 ** 6
 
 
 # ---------------------------------------------------------------------------
