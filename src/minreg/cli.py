@@ -248,15 +248,17 @@ def cmd_verify(args) -> int:
                          % (args.certificate, exc)) from None
     cert = certificate_from_dict(payload)
     report = verify_witness(cert)
-    lines = ["%s: %s" % (name, "ok" if passed else "FAILED")
-             for name, passed in report.checks]
-    lines.append("verification %s" % ("passed" if report.ok else "failed"))
-    _emit(args, {"command": "verify", "verified": report.ok,
-                 "checks": {name: passed for name, passed in report.checks},
-                 "regularity": cert.regularity,
-                 "hilbert_function": str(cert.hilbert_function)},
-          lines)
-    return 0 if report.ok else 1
+    ok = report.ok
+    if args.json:
+        print(_document({"command": "verify", "verified": ok,
+                         "checks": dict(report.checks),
+                         "regularity": cert.regularity,
+                         "hilbert_function": str(cert.hilbert_function)}))
+    else:
+        for name, passed in report.checks:
+            print("%s: %s" % (name, "ok" if passed else "FAILED"))
+        print("verification %s" % ("passed" if ok else "failed"))
+    return 0 if ok else 1
 
 
 def cmd_table(args) -> int:
@@ -419,10 +421,15 @@ def _walk(name, words, fields):
         raise UsageError(message, _usage(name))
 
     # Every word up to `--` is read before any is taken, as argparse does.
+    # The top level takes none past its subcommand, so it reads only those
+    # there that it refuses: a prefix of both --help and --json.
     n = len(words)
     cut = words.index("--") if "--" in words else n
-    kinds = [_kind(word, flags, refuse) for word in words[:cut]] \
-        + ["--"] * (cut < n) + [None] * (n - cut - 1)
+    kinds = []
+    for word in words[:cut]:
+        if name or None not in kinds or word[:3] == "--=":
+            kinds.append(_kind(word, flags, refuse))
+    kinds += ["--"] * (cut < n) + [None] * (n - cut - 1)
     fields[positional] = None
     for option in own:
         fields[_dest(option)] = False if option[1] == "flag" else None

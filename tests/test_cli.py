@@ -387,6 +387,7 @@ _REFERENCE = reference_parser()
 @example(["witness", "-ofile", "--", "-3+5z"])
 @example(["minfn", "5z-3", "x"])
 @example(["exists", "--rho", "x", "-h"])
+@example(["minreg", "5z-3", "--=x"])
 def test_the_reader_reads_as_argparse_does(argv):
     """The table reader against the argparse parser it replaced: the same
     fields, the same refusal, or the help of the same level."""

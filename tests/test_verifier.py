@@ -6,7 +6,9 @@ over the whole ambient ring and, on ideals too large for that count,
 against conftest's reference_walk, the walk term by term that it
 replaced, with every claim moved by one up and down at each degree.
 Its "slice formulas" function, read off its own table of generators,
-must equal conftest's hilbert_function.  Budget tests hold the witness
+must equal conftest's hilbert_function, and claims that the walk cannot
+see past its limit must fail it alone; a counting claim holds the walk
+to one question per value, none past its limit.  Budget tests hold the witness
 of a degree-400 surface in P^3 to the cost of its columns, not of its
 terms."""
 
@@ -17,7 +19,7 @@ import tracemalloc
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minreg.binomials import binom
 from minreg.borel import StronglyStableIdeal
@@ -26,7 +28,8 @@ from minreg.constructions import (WitnessCertificate, _standard_counts_match,
                                   certificate_from_dict, verify_witness)
 from minreg.functions import (HilbertFunction, min_scheme_regularity,
                               minimal_scheme_function, parse_hilbert_function)
-from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
+from minreg.polynomials import (AdmissiblePolynomial, parse_polynomial,
+                                polynomial_from_coefficients)
 
 from conftest import (binomial_coeffs, hilbert_function, reference_verify,
                       reference_walk, regularity, standard_counts,
@@ -80,6 +83,16 @@ generator_sets = st.integers(1, 4).flatmap(lambda n: st.tuples(
 
 @settings(max_examples=80, deadline=None)
 @given(generator_sets, st.integers(0, 1), st.integers(-1, 6))
+# Mixed degrees, one generator a multiple of one of lower degree, so that
+# minimality fails and stability must still be reported: x1 divides
+# x1*x2, whose raising x1 -> x2 is outside; x2 divides x2^2, and nothing
+# raises; a stable ideal with x1*x2 beside x1 and x2; the unit beside x1^2.
+@example((3, [(0, 1, 0), (0, 1, 1)]), 0, -1)
+@example((3, [(0, 0, 1), (0, 0, 2)]), 0, -1)
+@example((3, [(0, 1, 0), (0, 0, 1), (0, 1, 1)]), 0, -1)
+@example((3, [(0, 0, 0), (0, 2, 0)]), 0, -1)
+@example((4, [(0, 0, 0, 1), (0, 0, 1, 0), (0, 2, 0, 0), (0, 2, 1, 1)]), 0, -1)
+@example((4, [(0, 0, 1, 1), (0, 0, 3, 2), (1, 1, 0, 0)]), 0, -1)
 def test_verifier_matches_the_reference_on_random_generators(
         data, extra, moved):
     """Random generator sets, most of them not minimal or not strongly
@@ -97,6 +110,43 @@ def test_verifier_matches_the_reference_on_random_generators(
                   for t in range(max(f.regularity, moved + 1))), f.tail)
     cert = WitnessCertificate(ideal, claim, regularity(ideal) + extra, ())
     assert verify_witness(cert).checks == reference_verify(cert).checks
+
+
+def claims_beside(f, regularity):
+    """Claims that the slice formulas must refuse beside f, the function
+    of a certificate of that regularity, whose tail is not zero: one of
+    regularity + 1; one that agrees with f up to the walk's limit,
+    regularity + 3, but has a larger regularity; and two with another
+    tail, one with f's values up to the limit and one below the
+    regularity only."""
+    limit = regularity + 3
+    values = tuple(f(t) for t in range(limit + 2))
+    a = f.tail.coordinates
+    other = AdmissiblePolynomial((a[0] + 1,) + a[1:])
+    return [
+        HilbertFunction(values[:regularity] + (values[regularity] + 1,),
+                        f.tail),
+        HilbertFunction(values[:-1] + (values[-1] + 1,), f.tail),
+        HilbertFunction(values[:-1], other),
+        HilbertFunction(values[:regularity], other),
+    ]
+
+
+def test_verifier_matches_the_reference_beside_the_claim():
+    # The slice formulas compare the tail, then the regularity, then the
+    # values below it.  Claims that the walk, up to its limit, cannot
+    # tell from the true one must fail them alone.
+    for n, payload in enumerate(sweep_certificates()):
+        cert = certificate_from_dict(payload)
+        for m, claim in enumerate(claims_beside(cert.hilbert_function,
+                                                cert.regularity)):
+            moved = cert._replace(hilbert_function=claim)
+            report = verify_witness(moved)
+            assert report.checks == reference_verify(moved).checks, (n, m)
+            assert report.failures() == (
+                "hilbert function by slice formulas",
+                "hilbert function by enumeration")[:1 + (m in (0, 3))], \
+                (n, m)
 
 
 def _power_and_tops(nvars, k):
@@ -369,6 +419,37 @@ def test_walk_edge_cases():
         claim = [c + (s > t) for s, c in enumerate(counts)]
         assert not _standard_counts_match(*packed(J, 8), 3,
                                           claim.__getitem__, 8), t
+
+
+class Counted:
+    """A claim that records each degree it is asked for."""
+
+    def __init__(self, values):
+        self.values, self.asked = values, []
+
+    def __call__(self, t):
+        self.asked.append(t)
+        return self.values[t]
+
+
+def test_walk_asks_for_each_claim_value_once():
+    # On the sweep, with each value moved by one up and down in turn: the
+    # walk asks for claim(t) at most once for each t, and never past
+    # limit, so values listed up to limit are enough.
+    for n, payload in enumerate(sweep_certificates()):
+        cert = certificate_from_dict(payload)
+        limit = cert.regularity + 3
+        gens, w = packed(cert.ideal, limit)
+        values = [cert.hilbert_function(t) for t in range(limit + 1)]
+        for t, step in [(None, 0)] + [(t, s) for t in range(limit + 1)
+                                      for s in (1, -1)]:
+            claim = Counted(values[:])
+            if t is not None:
+                claim.values[t] += step
+            _standard_counts_match(gens, w, cert.ideal.nvars, claim, limit)
+            assert len(set(claim.asked)) == len(claim.asked), (n, t, step)
+            assert 0 <= min(claim.asked) <= max(claim.asked) <= limit, \
+                (n, t, step)
 
 
 def test_walk_memory_follows_the_walk_not_the_variables():
