@@ -141,17 +141,17 @@ def cmd_gotzmann(args) -> int:
 
 def cmd_rho(args) -> int:
     p = parse_polynomial(args.polynomial)
-    _emit(args, {"command": "rho", "polynomial": str(p),
-                 "rho": min_function_regularity(p)},
-          [str(min_function_regularity(p))])
+    rho = min_function_regularity(p)
+    _emit(args, {"command": "rho", "polynomial": str(p), "rho": rho},
+          [str(rho)])
     return 0
 
 
 def cmd_rho_bar(args) -> int:
     p = parse_polynomial(args.polynomial)
+    rho_bar = min_scheme_regularity(p)
     _emit(args, {"command": "rho-bar", "polynomial": str(p),
-                 "rho_bar": min_scheme_regularity(p)},
-          [str(min_scheme_regularity(p))])
+                 "rho_bar": rho_bar}, [str(rho_bar)])
     return 0
 
 

@@ -15,14 +15,13 @@ minimal_function(p, rho) is the pointwise least admissible function with
 tail p and regularity at most rho; minimal_function_exact(p, rho) is the
 least one with regularity exactly rho; minimal_scheme_function(p, rho) is
 the least Hilbert function of a scheme, or None when no scheme has that
-pair.  The two regularity minima min_function_regularity and
-min_scheme_regularity are computed without ever scanning the full range
-up to the Gotzmann number.
+pair.  The regularity minima min_function_regularity and
+min_scheme_regularity are found together, never scanning up to the
+Gotzmann number, and kept on the polynomial record; an equal record from
+another spelling, or from polynomial_from_coefficients, finds its own.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .binomials import lowered_chain, plus_plus
 from .errors import (InternalInconsistency, NegativeDerivative, NotAdmissible,
@@ -191,62 +190,59 @@ def minimal_function_exact(p: AdmissiblePolynomial, rho: int) -> HilbertFunction
     return HilbertFunction(tuple(prefix), p)
 
 
-@lru_cache(maxsize=None)
 def min_function_regularity(p: AdmissiblePolynomial) -> int:
-    """Least regularity among admissible functions with tail p.
-
-    Starts from the scheme minimum and slides down while the growth bound
-    keeps holding; never scans the whole range up to the Gotzmann number.
-    """
-    if p.degree == 0:
-        return 0 if p(0) == 1 else 1
-    rho = min_scheme_regularity(p)
-    if rho == 0:
-        return 0
-    while rho > 1 and p(rho - 1) >= 1 and plus_plus(p(rho - 1), rho - 1) >= p(rho):
-        rho -= 1
-    if rho == 1 and p(0) == 1:
-        return 0
-    return rho
+    """Least regularity among admissible functions with tail p."""
+    return (p._least or _least_regularities(p))[0]
 
 
-@lru_cache(maxsize=None)
 def min_scheme_regularity(p: AdmissiblePolynomial) -> int:
-    """Least regularity among Hilbert functions of schemes with polynomial p.
+    """Least regularity among scheme Hilbert functions with polynomial p."""
+    return (p._least or _least_regularities(p))[1]
 
-    Found as one less than the first t where minimal_function(dp, t) sums
-    below t to at most p(t - 1).  That function is lowered_chain(dp(e), e)
-    and then dp, e = min(t, r - 1), r dp's Gotzmann number; dp's part sums
-    to p(t - 1) - p(e - 1), so the chain's sum is held to p(e - 1).  The
-    test is monotone in t, so a bisection would find t too: the minimal
-    functions f_t = minimal_function(dp, t) fall pointwise as t grows,
-    so the sum S(t) of f_t below t has S(t + 1) <= S(t) + f_t(t) = S(t)
-    + dp(t), while p(t) = p(t - 1) + dp(t); from t = r - 1 on, e and the
-    test stay put.  The skip at t = 1 when p(0) != 1 is a rule apart."""
-    if p.degree == 0:
-        return 0 if p(0) == 1 else 1
-    dp = p.derivative()
-    # The minimum of dp needs that of its own derivative, and so on down
-    # to the constant: walk that tower upwards first, so that each cached
-    # call below finds the level under it already computed, instead of
-    # nesting two calls per degree.
-    tower = []
-    q = dp.derivative()
-    while q.degree >= 0:
-        tower.append(q)
-        q = q.derivative()
+
+def _least_regularities(p: AdmissiblePolynomial):
+    """The pair (rho, rho_bar) of the two minima above, kept on p and its
+    derivatives; NotAdmissible for ZERO.  A level q needs only the rho of
+    its derivative dq, so the tower is walked down to the first level whose
+    derivative holds its pair, or to the constant, and built back up.
+
+    rho_bar is one less than the first t where minimal_function(dq, t)
+    sums below t to at most q(t - 1).  That function is
+    lowered_chain(dq(e), e) and then dq, e = min(t, r - 1), r dq's
+    Gotzmann number; dq's part sums to q(t - 1) - q(e - 1), so the
+    chain's sum is held to q(e - 1).  The test is monotone in t, so a
+    bisection would find t too: the minimal functions f_t =
+    minimal_function(dq, t) fall pointwise as t grows, so the sum S(t)
+    of f_t below t has S(t + 1) <= S(t) + f_t(t) = S(t) + dq(t), while
+    q(t) = q(t - 1) + dq(t); from t = r - 1 on, e and the test stay put.
+    The skip at t = 1 when q(0) != 1 is a rule apart.  rho starts from
+    rho_bar and slides down while the growth bound keeps holding."""
+    if p.degree < 0:
+        raise NotAdmissible("the zero polynomial is not a Hilbert polynomial here")
+    tower = [p]
+    while tower[-1].degree > 0 and tower[-1].derivative()._least is None:
+        tower.append(tower[-1].derivative())
     for q in reversed(tower):
-        min_function_regularity(q)
-    floor = max(min_function_regularity(dp), 1)
-    last = max(dp.gotzmann_number - 1, 0)
-    for t in range(floor, p.gotzmann_number + 2):
-        e = min(t, last)
-        if sum(lowered_chain(dp(e), e)) <= p(e - 1):
-            if t == 1 and p(0) != 1:
-                # agreeing with p already at 0 needs p(0) = 1
-                continue
-            return t - 1
-    raise InternalInconsistency("scheme minimum not found below the Gotzmann number")
+        if q.degree == 0:
+            q._least = (0, 0) if q(0) == 1 else (1, 1)
+            continue
+        dq = q.derivative()
+        last = max(dq.gotzmann_number - 1, 0)
+        for t in range(max(dq._least[0], 1), q.gotzmann_number + 2):
+            e = min(t, last)
+            # agreeing with q already at 0 needs q(0) = 1
+            if (sum(lowered_chain(dq(e), e)) <= q(e - 1)
+                    and (t > 1 or q(0) == 1)):
+                break
+        else:
+            raise InternalInconsistency(
+                "scheme minimum not found below the Gotzmann number")
+        rho = rho_bar = t - 1
+        while (rho > 1 and q(rho - 1) >= 1
+               and plus_plus(q(rho - 1), rho - 1) >= q(rho)):
+            rho -= 1
+        q._least = (0 if rho == 1 and q(0) == 1 else rho, rho_bar)
+    return p._least
 
 
 def least_dominated_regularity(q: AdmissiblePolynomial, w: HilbertFunction,

@@ -86,13 +86,16 @@ class AdmissiblePolynomial:
     C(z + k, k), k = 0..degree.  A trusted record: the builders here yield
     admissible polynomials, and outside input comes in through
     polynomial_from_coefficients, which checks it.  It keeps its runs,
-    text and derivative once built."""
+    text and derivative once built, and the least regularities and the
+    descent report that functions and regularity derive from it."""
 
-    __slots__ = ("coordinates", "_runs", "_text", "_derivative")
+    __slots__ = ("coordinates", "_runs", "_text", "_derivative", "_least",
+                 "_report")
 
     def __init__(self, coordinates: tuple):
         self.coordinates = coordinates
         self._runs = self._text = self._derivative = None
+        self._least = self._report = None
 
     def __eq__(self, other):
         if type(other) is not AdmissiblePolynomial:
@@ -383,13 +386,12 @@ def parse_tail(text: str) -> AdmissiblePolynomial:
     force, so a numeral past it is refused on every call.
 
     The cache holds the last 256 texts.  An entry keeps its text and its
-    record, with whatever runs, derivatives and texts the record has
-    built: about 1 KB for a cubic.  The P^300 quadric's 239 KB text
-    keeps 0.7 MB with its derivative chain, and 23 MB once every
-    derivative has printed its text (tracemalloc, text included); the
-    parse keeps nothing outside the entry.  256 such entries would keep
-    about 6 GB, as min_regularity's unbounded cache of reports, keyed
-    on the same records, already does."""
+    record, with whatever runs, derivatives, texts and derived facts the
+    record has built: about 1 KB for a cubic's parse.  The P^300
+    quadric's 239 KB text keeps 0.7 MB with its derivative chain, and
+    23 MB once every derivative has printed its text (tracemalloc, text
+    included); the parse keeps nothing outside the entry.  256 such
+    entries would keep about 6 GB."""
     return _read_tail(text, _digit_limit())
 
 

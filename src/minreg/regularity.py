@@ -17,12 +17,13 @@ below that value less one the answer is constant, beyond it the answer is
 reg + 1 or reg + 2 depending on whether the minimal function keeps its
 regularity.  The recursion is always cross-checked against the closed
 form and a mismatch is reported as a bug, never papered over.
+min_regularity keeps its report on the polynomial record; an equal record
+from another spelling, or from polynomial_from_coefficients, builds its own.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .binomials import binom
 from .errors import (AmbientTooSmall, EmptyClass, InternalInconsistency,
@@ -142,12 +143,13 @@ def min_regularity_at(p: AdmissiblePolynomial, rho: int) -> RegularityReport:
     return report
 
 
-@lru_cache(maxsize=None)
 def min_regularity(p: AdmissiblePolynomial) -> RegularityReport:
     """Least regularity among all schemes with Hilbert polynomial p,
-    attained at the least admissible function regularity."""
-    _check_in_scope(p)
-    return min_regularity_at(p, min_scheme_regularity(p))
+    attained at the least admissible function regularity; kept on p."""
+    if p._report is None:
+        _check_in_scope(p)
+        p._report = min_regularity_at(p, min_scheme_regularity(p))
+    return p._report
 
 
 def min_regularity_of_function(u: HilbertFunction) -> RegularityReport:

@@ -28,7 +28,7 @@ def test_every_command_line_gives_its_recorded_answer(tmp_path, monkeypatch):
 
 def test_a_warm_session_gives_the_recorded_answers(tmp_path, monkeypatch):
     # The table twice in one process: no answer may depend on the
-    # records and reports that earlier command lines left in the caches.
+    # records, and the facts kept on them, that earlier command lines left.
     monkeypatch.chdir(tmp_path)
     with open(ANSWERS, encoding="utf-8") as handle:
         table = json.load(handle)

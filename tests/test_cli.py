@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -491,7 +493,7 @@ def test_table_builds_only_the_output_it_prints(capsys, monkeypatch):
 
 def test_high_degree_polynomials_descend_without_recursion(capsys):
     # The quadric hypersurface in P^300: one descent level per degree,
-    # 299 of them, each finding the minima of the levels below cached.
+    # 299 of them, each finding the minima of the levels below kept.
     p = quotient_tail({(300, 2): 1}, 301)
     assert run(capsys, "minreg", str(p)) == (0, "2\n", "")
     code, out, _ = run(capsys, "table", str(p))
@@ -588,7 +590,8 @@ def test_witness_of_a_polynomial_tests_its_function_once(capsys,
         if hasattr(module, "is_scheme_function"):
             monkeypatch.setattr(module, "is_scheme_function", counted)
         monkeypatch.setattr(module, "minimal_function", counted_build)
-    minreg.regularity.min_regularity.cache_clear()
+    # 9z-7 parses to a fresh record, with no descent kept on it
+    minreg.polynomials.parse_tail.cache_clear()
     code, out, _ = run(capsys, "witness", "9z-7", "--json")
     assert code == 0
     assert tested == [json.loads(out)["hilbert_function"]]
@@ -616,6 +619,45 @@ def test_a_session_reads_each_polynomial_text_once(capsys, monkeypatch):
                  ["minreg", "--ambient", "4"], ["table"]):
         assert run(capsys, argv[0], "6z-9", *argv[1:])[0] in (0, 1)
     assert read == ["6z-9"]
+
+
+_HELD_BY_A_SESSION = """
+import contextlib, gc, io, tracemalloc
+from minreg.cli import main
+
+def ask(n):
+    text = "%dz+%d" % (2 + n % 40, n // 40 + 1)
+    for argv in (["minreg", text], ["table", text, "--json"],
+                 ["exists", text, "--rho", "3"]):
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+
+for n in range(1000):
+    ask(n)
+gc.collect()
+tracemalloc.start()
+for n in range(1000, 4000):
+    ask(n)
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_a_long_session_holds_memory_bounded_by_its_caches():
+    # 3,000 distinct texts after 1,000 of warm-up: the facts derived
+    # from a polynomial live as long as its record, so the session keeps
+    # no more than its bounded caches do, however many texts it reads.
+    # Tables of facts keyed on the records would hold about 1.5 KB a
+    # text, 4.5 MB here.  A fresh interpreter counts what this session
+    # keeps, whatever earlier tests have built.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        minreg.cli.__file__)))
+    held = subprocess.run(
+        [sys.executable, "-c", _HELD_BY_A_SESSION],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True, timeout=120).stdout
+    assert int(held) < 1 << 20
 
 
 def test_witness_and_verify_through_files(tmp_path, capsys):

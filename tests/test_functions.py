@@ -15,15 +15,17 @@ from hypothesis import assume, given, settings
 
 from minreg.binomials import lowered_chain, plus_plus
 from minreg.borel import StronglyStableIdeal
-from minreg.errors import (InternalInconsistency, NegativeDerivative,
-                           NotAdmissible, ParseError, RhoTooSmall)
+from minreg.errors import (InternalInconsistency, LinearVariety,
+                           NegativeDerivative, NotAdmissible, ParseError,
+                           RhoTooSmall)
 from minreg.functions import (HilbertFunction, is_admissible_function,
                               is_scheme_function, least_dominated_regularity,
                               min_function_regularity, min_scheme_regularity,
                               minimal_function, minimal_function_exact,
                               minimal_scheme_function, parse_hilbert_function)
-from minreg.polynomials import (AdmissiblePolynomial, parse_polynomial,
+from minreg.polynomials import (ZERO, AdmissiblePolynomial, parse_polynomial,
                                 polynomial_from_coefficients)
+from minreg.regularity import min_regularity
 
 from conftest import (dominated_by, from_writing, minus_minus, partial_sums,
                       reference_least_dominated, reference_scheme_minimum,
@@ -53,16 +55,15 @@ def test_prefix_is_canonicalized():
 
 
 def test_records_compare_and_hash_by_type_and_fields():
-    # The value types are cache keys: a fresh equal record must find the
-    # entry an earlier one left.  The parser keeps one record per text,
-    # so the fresh one is read from another spelling.
+    # The value types are dict keys: a fresh equal record must find the
+    # entry an earlier one left, and find the same answers.  The parser
+    # keeps one record per text, so the fresh one is read from another
+    # spelling.
     p = poly("7z-5")
-    min_scheme_regularity(p)
-    hits = min_scheme_regularity.cache_info().hits
     fresh = poly("-5+7z")
     assert fresh is not p
-    min_scheme_regularity(fresh)
-    assert min_scheme_regularity.cache_info().hits == hits + 1
+    assert {p: "kept"}[fresh] == "kept"
+    assert min_scheme_regularity(fresh) == min_scheme_regularity(p)
     ideal = StronglyStableIdeal(3, frozenset({(0, 2, 0), (0, 1, 1),
                                               (0, 0, 3)}))
     pairs = [
@@ -465,6 +466,21 @@ def test_internal_linear_tails():
     assert min_scheme_regularity(point) == 0
 
 
+def test_zero_is_refused_as_the_parser_refuses_it():
+    # ZERO is its own derivative: the walk down a tower stops at the
+    # constant, and ZERO itself has no least regularity.
+    with pytest.raises(NotAdmissible) as parsed:
+        parse_polynomial("0")
+    for ask in (min_scheme_regularity, min_function_regularity,
+                lambda p: minimal_function(p, 3)):
+        with pytest.raises(NotAdmissible) as refused:
+            ask(ZERO)
+        assert str(refused.value) == str(parsed.value)
+    assert minimal_scheme_function(ZERO, 2) is None
+    with pytest.raises(LinearVariety):
+        min_regularity(ZERO)
+
+
 # ---------------------------------------------------------------------------
 # pointwise minimum over schemes
 
@@ -529,8 +545,9 @@ def _scans_match_their_references(top):
     while levels[-1].degree > 0:
         levels.append(levels[-1].derivative())
     for p in levels:
-        assert min_scheme_regularity.__wrapped__(p) == \
-            reference_scheme_minimum(p), p
+        # a fresh record holds no kept facts, so its whole tower is built
+        assert min_scheme_regularity(AdmissiblePolynomial(p.coordinates)) \
+            == reference_scheme_minimum(p), p
     for p, q in zip(levels, levels[1:]):
         rho_bar = min_scheme_regularity(p)
         below = []
