@@ -6,13 +6,11 @@ written as a finite prefix plus a polynomial tail, strongly stable
 monomial ideals, and verified witness certificates.  The regularity
 module answers "how small can the regularity be" (globally, at a fixed
 function regularity, for a fixed function, inside a fixed projective
-space) and the constructions module produces ideals achieving it.
+space), constructions builds ideals achieving it, verify checks them.
 """
 
 from .borel import StronglyStableIdeal
-from .constructions import (VerificationReport, WitnessCertificate,
-                            certificate_from_dict, verify_witness,
-                            witness_min_reg)
+from .constructions import witness_min_reg
 from .errors import (AmbientTooSmall, DomainError, EmptyClass, InputError,
                      InternalInconsistency, LinearVariety, MinregError,
                      NegativeDerivative, NotAdmissible, NotSchemeHF,
@@ -27,6 +25,8 @@ from .polynomials import (AdmissiblePolynomial, parse_polynomial,
                           polynomial_from_coefficients)
 from .regularity import (RegularityReport, min_regularity, min_regularity_at,
                          min_regularity_in_space, min_regularity_of_function)
+from .verify import (VerificationReport, WitnessCertificate,
+                     certificate_from_dict, verify_witness)
 
 __version__ = "0.1.0"
 

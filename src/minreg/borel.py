@@ -9,8 +9,8 @@ monomial ideal whose every slice is Borel is strongly stable.
 The least variable x0 plays the role of the saturation variable: a
 saturated strongly stable ideal has x0-free minimal generators, and the
 maximal degree of the minimal generators equals the Castelnuovo-Mumford
-regularity.  constructions.verify_witness reads both facts, and the
-Hilbert function of the quotient, off the generators itself.
+regularity.  verify.verify_witness reads both facts, and the Hilbert
+function of the quotient, off the generators itself.
 
 A degree-s slice is split into height classes (by x0-exponent) and
 growth classes (by least variable present).  A growth-height-lexicographic
@@ -26,7 +26,7 @@ build the paper's grafts and lex-segment ideals with it too.
 StronglyStableIdeal is a plain record that trusts its callers: every
 builder here gives an ideal by its minimal generators.  Nothing re-checks
 that on construction; data from outside the program is checked once, by
-constructions.verify_witness.
+verify.verify_witness.
 """
 
 from __future__ import annotations

@@ -29,15 +29,13 @@ argparse would reach it.  A refused line gets an error document when
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
-from .constructions import (certificate_from_dict, verify_witness,
-                            witness_min_reg)
+from .constructions import witness_min_reg
 from .errors import InputError, MinregError, TooManyDigits
 from .functions import (min_function_regularity, min_scheme_regularity,
                         minimal_function, minimal_function_exact,
@@ -45,6 +43,7 @@ from .functions import (min_function_regularity, min_scheme_regularity,
 from .polynomials import _digit_limit, parse_polynomial
 from .regularity import (min_regularity, min_regularity_at,
                          min_regularity_in_space, min_regularity_of_function)
+from .verify import read_certificate, verify_witness
 
 SCHEMA = 1
 
@@ -237,16 +236,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.certificate, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise InputError("cannot read %s: %s"
-                         % (args.certificate, exc.strerror or exc)) from None
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise InputError("%s is not JSON: %s"
-                         % (args.certificate, exc)) from None
-    cert = certificate_from_dict(payload)
+    cert = read_certificate(args.certificate)
     report = verify_witness(cert)
     ok = report.ok
     if args.json:

@@ -20,7 +20,7 @@ that borel.ghl_ideal, which reads the generators off the class sizes,
 must agree with.  degree_slice(), saturation() and minimal_terms() work
 on whole slices of the ambient ring, and reference_removal() is the
 paper's removal of one Borel-minimal term by them.  reference_verify()
-is the scan verifier that constructions.verify_witness must agree with,
+is the scan verifier that verify.verify_witness must agree with,
 check for check; its count of the standard terms of each degree over
 the whole ambient ring is standard_counts(), and reference_walk() is
 the walk term by term over x1..xn that the verifier's column walk
@@ -89,8 +89,7 @@ from minreg import cli
 from minreg.binomials import binom, macaulay_expand
 from minreg.borel import (StronglyStableIdeal, basis_size, ghl_ideal,
                           slice_heights, term_string)
-from minreg.constructions import (VerificationReport, WitnessCertificate,
-                                  witness_min_reg)
+from minreg.constructions import witness_min_reg
 from minreg.errors import InternalInconsistency, NotAdmissible
 from minreg.functions import (HilbertFunction, least_dominated_regularity,
                               min_function_regularity,
@@ -99,6 +98,7 @@ from minreg.polynomials import (AdmissiblePolynomial,
                                 polynomial_from_coefficients, quotient_tail,
                                 slice_growth)
 from minreg.regularity import min_regularity_of_function
+from minreg.verify import VerificationReport, WitnessCertificate
 
 
 SWEEP = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -457,7 +457,7 @@ def standard_counts(ideal, stop):
 
 
 def reference_walk(packed, w, nvars, claim, limit):
-    """The term-by-term walk that constructions._standard_counts_match
+    """The term-by-term walk that verify._standard_counts_match
     must agree with: whether, for each degree t <= limit, the standard
     terms in x1..xn of degree t number claim(t) - claim(t-1), over
     x0-free generators packed w bits a field.  A term c of degree t + 1

@@ -11,8 +11,7 @@ import pytest
 
 from minreg.binomials import macaulay_expand, plus_plus
 from minreg.borel import StronglyStableIdeal, ghl_ideal, slice_heights
-from minreg.constructions import (WitnessCertificate, verify_witness,
-                                  witness_min_reg)
+from minreg.constructions import witness_min_reg
 from minreg.errors import EmptyClass
 from minreg.functions import (is_admissible_function, is_scheme_function,
                               min_scheme_regularity, minimal_function,
@@ -21,6 +20,7 @@ from minreg.functions import (is_admissible_function, is_scheme_function,
 from minreg.polynomials import parse_polynomial
 from minreg.regularity import (min_regularity, min_regularity_at,
                                min_regularity_of_function)
+from minreg.verify import WitnessCertificate, verify_witness
 
 from conftest import (BorelSet, borel_leq, contains, degree_slice, ghl_set,
                       hilbert_function, ideal, lex_segment_ideal, lgh,

@@ -18,9 +18,10 @@ import minreg.polynomials
 import minreg.regularity
 from conftest import from_writing, reference_parser, writings
 from minreg.cli import UsageError, main
-from minreg.constructions import certificate_from_dict, verify_witness
-from minreg.errors import InternalInconsistency, VerificationFailure
+from minreg.errors import (InputError, InternalInconsistency,
+                           VerificationFailure)
 from minreg.polynomials import polynomial_from_coefficients, quotient_tail
+from minreg.verify import certificate_from_dict, verify_witness
 
 
 def run(capsys, *argv):
@@ -731,6 +732,23 @@ def test_verify_rejects_malformed_documents(tmp_path, capsys):
     # a generator listed twice is named, not folded into one
     assert "generator [0, 1] is listed twice" in run(capsys, "verify",
                                                       str(path))[2]
+    # the log is absent or a list of strings; no other iterable is read
+    # line by line
+    for log in ("abc", {"a": 1}, [1, None], 5):
+        path.write_text(json.dumps(line_certificate(log=log)))
+        assert run(capsys, "verify", str(path)) == (
+            2, "", "error: malformed certificate: log is not a list of"
+            " strings\n"), log
+
+
+def test_the_loader_reads_the_log_as_a_list_of_strings():
+    assert certificate_from_dict(line_certificate()).log == ()
+    assert certificate_from_dict(
+        line_certificate(log=["a", "b"])).log == ("a", "b")
+    for log in ("abc", {"a": 1}, [1, None], 5, None, ["a", ["b"]]):
+        with pytest.raises(InputError, match="^malformed certificate: log is"
+                           " not a list of strings$"):
+            certificate_from_dict(line_certificate(log=log))
 
 
 def test_verify_refuses_a_false_regularity_at_once(tmp_path, capsys):

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 
 from minreg import borel, constructions
 from minreg.borel import StronglyStableIdeal, ghl_ideal, term_string
-from minreg.constructions import (WitnessCertificate, certificate_from_dict,
-                                  verify_witness, witness_min_reg)
+from minreg.constructions import witness_min_reg
 from minreg.errors import (AmbientTooSmall, EmptyClass, LinearVariety,
                            NotSchemeHF, VerificationFailure)
 from minreg.functions import (HilbertFunction, minimal_function,
@@ -21,6 +20,8 @@ from minreg.polynomials import parse_polynomial, polynomial_from_coefficients
 from minreg.regularity import (min_regularity, min_regularity_at,
                                min_regularity_in_space,
                                min_regularity_of_function)
+from minreg.verify import (WitnessCertificate, certificate_from_dict,
+                           verify_witness)
 
 import conftest
 from conftest import (NoRemovableTerm, artinian_lift, degrevlex_key,

@@ -50,7 +50,7 @@ def test_the_public_api_is_pinned():
         assert getattr(minreg, name) is not None, name
     modules = [minreg.binomials, minreg.borel, minreg.cli,
                minreg.constructions, minreg.errors, minreg.functions,
-               minreg.polynomials, minreg.regularity]
+               minreg.polynomials, minreg.regularity, minreg.verify]
     for name in REMOVED:
         with pytest.raises(ImportError):
             exec("from minreg import %s" % name, {})
@@ -75,17 +75,46 @@ def test_the_cli_imports_neither_fractions_nor_decimal_nor_dataclasses():
     assert loaded == "[]\n"
 
 
+def _syntax_tree(module):
+    with open(module.__file__, encoding="utf-8") as handle:
+        return ast.parse(handle.read())
+
+
 def test_the_witness_builder_does_not_import_the_descent():
     # witness_min_reg takes a descent report and reads its function,
-    # regularity and trace; it runs no descent of its own.
-    with open(minreg.constructions.__file__, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read())
+    # regularity and trace; it runs no descent of its own.  The
+    # certificate and its verifier live in verify, so the builder is
+    # all that constructions defines.
+    tree = _syntax_tree(minreg.constructions)
     imported = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)}
     imported |= {alias.name for node in ast.walk(tree)
                  if isinstance(node, ast.Import) for alias in node.names}
-    assert imported >= {"borel", "functions"}
+    assert imported >= {"borel", "functions", "verify"}
     assert not {"regularity", "minreg.regularity"} & imported
+    defined = [getattr(node, "name", None) for node in tree.body[1:]
+               if not isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert defined == ["witness_min_reg"]  # body[0] is the docstring
+
+
+def test_the_verifier_imports_neither_the_builder_nor_the_descent():
+    # The trust boundary: verify reads the ideal record, the claim's
+    # function and its tail, and none of the fast paths it checks.
+    imported, absolute = {}, set()  # package module -> names, and the rest
+    for node in ast.walk(_syntax_tree(minreg.verify)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:  # `from . import m` imports m
+                imported.setdefault(node.module or alias.name,
+                                    set()).add(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute |= {alias.name for alias in node.names}
+    assert not {m for m in absolute if m.split(".")[0] == "minreg"}
+    assert set(imported) <= {"borel", "errors", "functions", "polynomials"}
+    assert imported["borel"] == {"StronglyStableIdeal"}
+    assert not {"constructions", "regularity", "binomials", "cli"} \
+        & set(imported)
 
 
 def test_the_readme_library_example_runs():

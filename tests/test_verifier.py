@@ -24,12 +24,12 @@ from hypothesis import example, given, settings, strategies as st
 from minreg.binomials import binom
 from minreg.borel import StronglyStableIdeal
 from minreg.cli import main
-from minreg.constructions import (WitnessCertificate, _standard_counts_match,
-                                  certificate_from_dict, verify_witness)
 from minreg.functions import (HilbertFunction, min_scheme_regularity,
                               minimal_scheme_function, parse_hilbert_function)
 from minreg.polynomials import (AdmissiblePolynomial, parse_polynomial,
                                 polynomial_from_coefficients)
+from minreg.verify import (WitnessCertificate, _standard_counts_match,
+                           certificate_from_dict, verify_witness)
 
 from conftest import (binomial_coeffs, hilbert_function, reference_verify,
                       reference_walk, regularity, standard_counts,
